@@ -504,6 +504,9 @@ class CollectiveWorker(Worker):
         self._faults = faults
         self._suspended = False
         self._deferred: list = []
+        # Fault-free, the controller overwrites every member's ready mark;
+        # under faults a rank can crash between its flush and that write.
+        self._own_ready_mark = faults is not None
 
         # Base-class aliases for shared helpers and debuggers.
         self.scheduler = controller.scheduler

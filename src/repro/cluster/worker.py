@@ -261,6 +261,9 @@ class Worker(ReliableDeliveryMixin):
     #: Steady-state fast-forward detector (repro.sim.fastforward); class
     #: attribute so the fault-free hot path pays one attribute load.
     _ff = None
+    #: Whether a flush records this worker's own ready mark (a collective
+    #: worker's is overwritten by the controller's collective-ready mark).
+    _own_ready_mark = True
 
     def __init__(
         self,
@@ -555,7 +558,8 @@ class Worker(ReliableDeliveryMixin):
         for grad in bucket:
             self._sched_gradient_ready(grad, now)
             self._ready_time[grad] = now
-            self.recorder.mark_ready(self.worker_id, iteration, grad, now)
+            if self._own_ready_mark:
+                self.recorder.mark_ready(self.worker_id, iteration, grad, now)
         self._pump_all()
 
     def _backward_done(self, iteration: int) -> None:

@@ -423,21 +423,21 @@ class _StepExecutor(Transport):
 
     def _launch_step(self) -> None:
         links, chunk = self._steps[self._step_idx]
-        self._step_pending = len(links)
         tag = self._inflight_tag
         if self._faults is None:
             # Barrier step: all chunk sends start this instant, and on a
-            # homogeneous quiet ring they finish at the same instant too —
-            # send_batch coalesces those N completion wakeups into one
-            # engine event (bit-identical; see its docstring).
+            # homogeneous quiet ring they share one duration and finish in
+            # one engine event; send_batch fires _step_done once, after
+            # the slowest link (bit-identical; see its docstring).
             send_batch(
                 links,
                 chunk,
                 tag=tag,
-                on_complete=self._chunk_done,
+                on_complete=self._step_done,
                 extra_time=self._extra_time,
             )
             return
+        self._step_pending = len(links)
         self._step_retries = 0
         self._chunk_attempts.clear()
         for link in links:
@@ -449,10 +449,7 @@ class _StepExecutor(Transport):
             )
         self._arm_watchdog(links, chunk)
 
-    def _chunk_done(self) -> None:
-        self._step_pending -= 1
-        if self._step_pending > 0:
-            return
+    def _step_done(self) -> None:
         self.steps_completed += 1
         self._step_idx += 1
         if self._step_idx < len(self._steps):
@@ -608,7 +605,7 @@ class RingExecutor(_StepExecutor):
         if n == 1 or nbytes <= 0.0:
             return []
         chunk = nbytes / n
-        links = [self.topology.links[w] for w in members]
+        links = tuple(self.topology.links[w] for w in members)
         return [(links, chunk)] * (2 * (n - 1))
 
 
@@ -670,16 +667,16 @@ class HierarchicalExecutor(_StepExecutor):
             return []
         if self._flat:
             chunk = nbytes / n
-            links = [topo.local_links[w] for w in self._members]
+            links = tuple(topo.local_links[w] for w in self._members)
             return [(links, chunk)] * (2 * (n - 1))
         g = topo.group_size
         m = topo.n_groups
         steps: list[tuple[Sequence[Link], float]] = []
-        intra = [(topo.local_links, nbytes / g)] * (g - 1)
+        intra = [(tuple(topo.local_links), nbytes / g)] * (g - 1)
         steps.extend(intra)  # reduce-scatter within every group
         if m > 1:
             steps.extend(
-                [(topo.global_links, nbytes / (g * m))] * (2 * (m - 1))
+                [(tuple(topo.global_links), nbytes / (g * m))] * (2 * (m - 1))
             )
         steps.extend(intra)  # all-gather within every group
         return steps

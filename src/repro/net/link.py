@@ -175,10 +175,11 @@ class TransferRecord(NamedTuple):
         return self.nbytes / self.duration if self.duration > 0 else 0.0
 
 
-# In-flight transfer state, a plain ``(nbytes, tag, start, end,
-# on_complete)`` tuple: link.py is the only reader, and tuple construction
-# is several times cheaper than a dataclass __init__ on the send hot path.
-_NBYTES, _TAG, _START, _END, _ON_COMPLETE = range(5)
+# In-flight transfer state, a plain ``(record, on_complete)`` pair: the
+# completed transfer's record is built at launch and appended as-is, so
+# send_batch can share one record (and one pair) across a step's links.
+_RECORD, _ON_COMPLETE = 0, 1
+_tuple_new = tuple.__new__  # builds a TransferRecord without its Python-level __new__
 
 
 class Link:
@@ -261,7 +262,7 @@ class Link:
         """Completion time of the in-flight transfer (``now`` if idle)."""
         if self._inflight is None:
             return self.engine.now
-        return self._inflight[_END]
+        return self._inflight[_RECORD].end
 
     def current_bandwidth(self) -> float:
         """Available (configured) bandwidth right now, before TCP effects."""
@@ -297,16 +298,29 @@ class Link:
         busy — callers must serialize via the ``on_idle`` callback,
         mirroring Constraint (8).
         """
+        end = self._start(nbytes, tag, on_complete, extra_time)
+        self._finish_event = self.engine.schedule(end, self._finish_cb)
+        return end
+
+    def _start(
+        self,
+        nbytes: float,
+        tag: object,
+        on_complete: Callable[[], None] | None,
+        extra_time: float,
+    ) -> float:
+        """Start a transfer without scheduling its completion event — the
+        body of :meth:`send`; :func:`send_batch` defers the event so
+        same-instant completions share one."""
         if self._inflight is not None:
             raise SimulationError(
-                f"link {self.name!r} is busy until t={self._inflight[_END]:.6f}"
+                f"link {self.name!r} is busy until t={self._inflight[_RECORD].end:.6f}"
             )
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes!r}")
         if extra_time < 0:
             raise SimulationError(f"negative extra_time {extra_time!r}")
-        engine = self.engine
-        start = engine._now
+        start = self.engine._now
         sched = self.schedule
         bandwidth = (
             self._const_bw
@@ -330,48 +344,7 @@ class Link:
         if quantum is not None:
             duration = round(duration * self._inv_quantum) * quantum
         end = start + duration
-        self._inflight = (nbytes, tag, start, end, on_complete)
-        self._finish_event = engine.schedule(end, self._finish_cb)
-        return end
-
-    def _start(
-        self,
-        nbytes: float,
-        tag: object,
-        on_complete: Callable[[], None] | None,
-        extra_time: float,
-    ) -> float:
-        """:meth:`send` minus the completion event — :func:`send_batch`
-        defers scheduling so same-instant completions share one event."""
-        if self._inflight is not None:
-            raise SimulationError(
-                f"link {self.name!r} is busy until t={self._inflight[_END]:.6f}"
-            )
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size {nbytes!r}")
-        if extra_time < 0:
-            raise SimulationError(f"negative extra_time {extra_time!r}")
-        start = self.engine._now
-        sched = self.schedule
-        bandwidth = (
-            self._const_bw
-            if sched is self._const_sched and sched._version == self._const_ver
-            else sched.value(start)
-        )
-        if self._noise_rng is not None and self._noise_std > 0:
-            factor = 1.0 + self._noise_std * float(self._noise_rng.standard_normal())
-            bandwidth *= min(max(factor, 0.1), 2.0)
-        if bandwidth != self._tbl_bw:
-            self._tbl = _slow_start_table(bandwidth, self.tcp)
-            self._tbl_bw = bandwidth
-        last_end = self._last_end
-        warm = last_end is not None and (start - last_end) <= self._warm_threshold
-        duration = self._tbl.transfer_time(nbytes, warm) + extra_time
-        quantum = self._quantum
-        if quantum is not None:
-            duration = round(duration * self._inv_quantum) * quantum
-        end = start + duration
-        self._inflight = (nbytes, tag, start, end, on_complete)
+        self._inflight = (_tuple_new(TransferRecord, (start, end, nbytes, tag)), on_complete)
         self._finish_event = None
         return end
 
@@ -386,6 +359,7 @@ class Link:
         inflight = self._inflight
         if inflight is None:
             return None
+        record = inflight[_RECORD]
         if self._finish_event is not None:
             self._finish_event.cancel()
             self._finish_event = None
@@ -399,19 +373,20 @@ class Link:
                 "fault",
                 self.engine.now,
                 f"net/{self.name}",
-                {"nbytes": inflight[_NBYTES], "started": inflight[_START]},
+                {"nbytes": record.nbytes, "started": record.start},
             )
-        return inflight[_TAG]
+        return record.tag
 
     def _finish(self) -> None:
         inflight = self._inflight
         if inflight is None:  # pragma: no cover - defensive
             raise SimulationError(f"link {self.name!r} finished with no transfer")
-        nbytes, tag, start, end, on_complete = inflight
+        record, on_complete = inflight
+        start, end, nbytes, tag = record
         self._inflight = None
         self._finish_event = None
         self._last_end = end
-        self.records.append(TransferRecord(start, end, nbytes, tag))
+        self.records.append(record)
         self.total_bytes += nbytes
         self._busy_accum += end - start
         journal = self._ff_journal
@@ -460,15 +435,16 @@ class Link:
         send's duration can depend on under a constant schedule.
         """
         inflight = self._inflight
+        if inflight is None:
+            return (ctx.rel_opt(self._last_end), None)
+        start, end, nbytes, tag = inflight[_RECORD]
         return (
             ctx.rel_opt(self._last_end),
-            None
-            if inflight is None
-            else (
-                inflight[_NBYTES],
-                ctx.tag(inflight[_TAG]),
-                ctx.rel(inflight[_START]),
-                ctx.rel(inflight[_END]),
+            (
+                nbytes,
+                ctx.tag(tag),
+                ctx.rel(start),
+                ctx.rel(end),
                 ctx.callback(inflight[_ON_COMPLETE]),
             ),
         )
@@ -480,12 +456,9 @@ class Link:
             self._last_end += dt
         inflight = self._inflight
         if inflight is not None:
-            nbytes, tag, start, end, on_complete = inflight
+            (start, end, nbytes, tag), on_complete = inflight
             self._inflight = (
-                nbytes,
-                shift.tag(tag),
-                start + dt,
-                end + dt,
+                TransferRecord(start + dt, end + dt, nbytes, shift.tag(tag)),
                 shift.callback(on_complete),
             )
 
@@ -506,14 +479,16 @@ class Link:
                 max(0.0, min(r.end, horizon) - min(r.start, horizon))
                 for r in self.records
             )
-        if self._inflight is not None and self._inflight[_START] < horizon:
-            total += min(self._inflight[_END], horizon) - self._inflight[_START]
+        inflight = self._inflight
+        if inflight is not None and inflight[_RECORD].start < horizon:
+            total += min(inflight[_RECORD].end, horizon) - inflight[_RECORD].start
         return total
 
 
 # ----------------------------------------------------------------------
-def _drain_batch(links: tuple[Link, ...]) -> None:
-    """Fire the batched completions in launch order.
+def _drain_batch(links: tuple[Link, ...], on_complete: Callable[[], None] | None) -> None:
+    """Finish the batched transfers in launch order, then fire the step's
+    one barrier callback.
 
     A link whose transfer was aborted after the batch launched has no
     in-flight state any more and is skipped — exactly what cancelling its
@@ -522,6 +497,8 @@ def _drain_batch(links: tuple[Link, ...]) -> None:
     for link in links:
         if link._inflight is not None:
             link._finish()
+    if on_complete is not None:
+        on_complete()
 
 
 def send_batch(
@@ -534,29 +511,61 @@ def send_batch(
     """Start the same ``nbytes`` transfer on every link at once.
 
     This is the barrier-step entry point (collective chunk steps): all
-    ``links`` start at the current instant, and in the common case —
-    identical bandwidth, no noise — they all compute the *same* completion
-    time.  Their N completion wakeups then coalesce into ONE engine event
-    that drains the per-link work list in launch order.  That is
-    bit-identical to N individual :meth:`Link.send` calls: the N original
+    ``links`` start at the current instant, and ``on_complete`` fires
+    **once**, after every link of the step has finished.
+
+    The duration is computed once, on the first link, and reused for every
+    other link whose duration inputs equal the first's: idle, a constant
+    schedule at the same level and version, the same TCP parameters, the
+    same warm gap (``_last_end``), no noise, the same time quantum.  Those
+    links share the first's in-flight state, so one immutable
+    :class:`TransferRecord` lands in all their ``records``.  Any other
+    link takes the full per-link path (which raises
+    :class:`SimulationError` on a busy link): durations are bit-identical
+    to N :meth:`Link.send` calls.
+
+    When all completion times are equal (the common case) ONE engine event
+    finishes the links in launch order and then fires ``on_complete``.
+    That is the order N individual sends would have produced: their
     completion events would sit at one timestamp with consecutive sequence
-    numbers, so no other event can interleave them and their firing order
-    is the launch order.  When completion times differ (noisy or
-    heterogeneous links), each link falls back to its own event, again in
-    launch order.  Returns the latest completion time.
+    numbers, so nothing can interleave them.  When completion times differ
+    (noisy or heterogeneous links), each link keeps its own event, in
+    launch order, and the last one to fire carries ``on_complete`` as its
+    transfer callback.  Returns the latest completion time.
     """
-    first_end = links[0]._start(nbytes, tag, on_complete, extra_time)
-    ends = [first_end]
+    first = links[0]
+    end = first._start(nbytes, tag, None, extra_time)
+    shared = first._inflight
+    sched = first.schedule
+    key = (
+        (first._const_bw, first.tcp, first._last_end, first._quantum, 0.0)
+        if sched is first._const_sched
+        and sched._version == first._const_ver
+        and not first._noise_std
+        else None
+    )
     same = True
     for link in links[1:]:
-        end = link._start(nbytes, tag, on_complete, extra_time)
-        ends.append(end)
-        if end != first_end:
+        sched = link.schedule
+        if (
+            key is not None
+            and link._inflight is None
+            and sched is link._const_sched
+            and sched._version == link._const_ver
+            and (link._const_bw, link.tcp, link._last_end, link._quantum, link._noise_std) == key
+        ):
+            link._inflight = shared  # idle: no finish event to clear
+        elif link._start(nbytes, tag, None, extra_time) != end:
             same = False
-    engine = links[0].engine
+    engine = first.engine
     if same:
-        engine.schedule(first_end, _drain_batch, tuple(links))
-        return first_end
-    for link, end in zip(links, ends):
-        link._finish_event = engine.schedule(end, link._finish_cb)
-    return max(ends)
+        engine.schedule(end, _drain_batch, tuple(links), on_complete)
+        return end
+    last = first
+    for link in links:
+        link_end = link._inflight[_RECORD].end
+        link._finish_event = engine.schedule(link_end, link._finish_cb)
+        if link_end >= end:
+            end, last = link_end, link
+    last._inflight = (last._inflight[_RECORD], on_complete)
+    return end

@@ -228,7 +228,7 @@ _CB_SHIFT = {
 }
 
 #: Zero-argument bound methods that may appear as stored callbacks.
-_CB_ZERO = {_StepExecutor._chunk_done}
+_CB_ZERO = {_StepExecutor._step_done}
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +275,13 @@ def _shift_enqueue_pulls(shift: FFShift, args) -> tuple:
 
 
 def _canon_drain_batch(ctx: FFContext, args) -> tuple:
-    return (tuple(ctx.token(link) for link in args[0]),)
+    links, on_complete = args
+    return (tuple(ctx.token(link) for link in links), ctx.callback(on_complete))
+
+
+def _shift_drain_batch(shift: FFShift, args) -> tuple:
+    links, on_complete = args
+    return (links, shift.callback(on_complete))
 
 
 _EVENT_CANON = {
@@ -294,6 +300,7 @@ _EVENT_CANON = {
 }
 
 _EVENT_SHIFT = {
+    _drain_batch: _shift_drain_batch,
     Worker._bucket_ready: _shift_bucket_ready,
     Worker._backward_done: _shift_backward_done,
     Worker.enqueue_pull: _shift_enqueue_pull,

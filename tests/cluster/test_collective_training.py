@@ -142,3 +142,27 @@ def test_hierarchical_group_size_must_divide_workers(tiny_config):
             collective="hierarchical",
             collective_group_size=3,
         )
+
+
+def test_ready_is_marked_once_at_the_collective_ready_time(ring_config, monkeypatch):
+    """A gradient is schedulable once every worker has flushed it, so its
+    ready mark is written once per worker, by the controller, at that
+    instant — a worker's own flush does not write one first."""
+    from repro.metrics.timeline import Recorder
+
+    marks = []
+    mark_ready = Recorder.mark_ready
+
+    def counting(self, worker, iteration, grad, t):
+        marks.append((worker, iteration, grad))
+        mark_ready(self, worker, iteration, grad, t)
+
+    monkeypatch.setattr(Recorder, "mark_ready", counting)
+    result = run_training(ring_config, EXTENDED_FACTORIES["prophet"])
+    n = ring_config.n_workers
+    records = result.recorder.gradient_records()
+    assert sorted(marks) == sorted((r.worker, r.iteration, r.grad) for r in records)
+    for it in range(ring_config.n_iterations):
+        by_worker = [result.recorder.gradient_records(worker=w, iteration=it) for w in range(n)]
+        for grads in zip(*by_worker):
+            assert len({g.ready for g in grads}) == 1

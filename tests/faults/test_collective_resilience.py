@@ -269,3 +269,36 @@ class TestHierarchicalDegrade:
                 assert total == 0.0
             else:
                 assert total == pytest.approx(per_link)
+
+
+def test_rank_crashing_after_its_flush_keeps_its_own_ready_mark():
+    """Under faults a rank can flush a gradient and crash before the rest
+    of the group does; the collective-ready mark then only reaches the
+    survivors, and the dead rank keeps the ready mark of its own flush."""
+    from repro.experiments.chaos import default_plan
+    from repro.workloads.presets import paper_config
+
+    config = paper_config(
+        "resnet18",
+        32,
+        n_workers=6,
+        n_iterations=6,
+        seed=1,
+        backend="allreduce",
+        collective="hierarchical",
+        collective_group_size=3,
+        faults=default_plan(crash_at=0.93, restart_after=0.3, drop=0.03, backend="allreduce"),
+    )
+    result = run_training(config, prophet_factory())
+    crash = config.faults.crashes[0]
+    rec = result.recorder
+    last = max(r.iteration for r in rec.gradient_records(worker=crash.worker))
+    survivor = {r.grad: r.ready for r in rec.gradient_records(worker=0, iteration=last)}
+    orphaned = [
+        r
+        for r in rec.gradient_records(worker=crash.worker, iteration=last)
+        if r.ready != survivor[r.grad]
+    ]
+    assert orphaned
+    for r in orphaned:
+        assert r.ready <= crash.at < survivor[r.grad]

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.trainer import run_training
+from repro.quantities import Gbps
 from repro.workloads.presets import EXTENDED_FACTORIES, paper_config
 
 STRATEGIES = ("mxnet-fifo", "p3", "prophet", "mg-wfbp")
@@ -110,3 +111,30 @@ def test_fastforward_engages_on_every_backend():
         assert stats["period"] >= 1
         assert stats["iterations_skipped"] == stats["period"] * stats["cycles_skipped"]
         assert stats["iterations_skipped"] >= 1, (backend, stats)
+
+
+def test_collective_barrier_steps_keep_fastforward_exact():
+    """A barrier step keeps one callback: in a ``_drain_batch`` event when
+    its links finish together, on the slowest link's transfer when they do
+    not (a slower worker NIC).  Either way fast-forward must still engage
+    on a jitter-free ring and hierarchical run on the time grid, and match
+    the unrolled run bit for bit.  (The canonical forms of both callbacks
+    are pinned in ``tests/sim/test_fastforward.py``.)
+    """
+    factory = EXTENDED_FACTORIES["prophet"]
+    cases = [
+        ("ring", None),
+        ("hierarchical", None),
+        ("ring", {1: 2 * Gbps}),
+        ("hierarchical", {2: 2 * Gbps}),
+    ]
+    for backend, slow_nic in cases:
+        runs = []
+        for fastforward in (True, False):
+            config = ff_config(backend, "prophet", 0, fastforward=fastforward)
+            runs.append(run_training(replace(config, worker_bandwidth=slow_nic), factory))
+        fast, slow = runs
+        stats = fast.fastforward_stats
+        assert stats is not None and stats["engaged"], (backend, slow_nic, stats)
+        assert stats["iterations_skipped"] >= 1, (backend, slow_nic, stats)
+        assert canon_result(fast) == canon_result(slow), (backend, slow_nic)

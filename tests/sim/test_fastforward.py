@@ -20,11 +20,19 @@ from repro.cluster.trainer import Trainer, run_training
 from repro.config import TrainingConfig
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, MessageDrops
-from repro.net.link import BandwidthSchedule
+from repro.net.collective import RingExecutor, RingTopology
+from repro.net.link import BandwidthSchedule, _drain_batch
 from repro.quantities import Gbps
 from repro.runner.fingerprint import fingerprint
 from repro.runner.spec import RunSpec
-from repro.sim.fastforward import NO_FASTFORWARD_ENV
+from repro.sim.engine import _ARGS, _FN, Engine
+from repro.sim.fastforward import (
+    _EVENT_SHIFT,
+    NO_FASTFORWARD_ENV,
+    FastForwardDetector,
+    FFContext,
+    FFShift,
+)
 from repro.workloads.presets import (
     EXTENDED_FACTORIES,
     bytescheduler_factory,
@@ -159,6 +167,40 @@ def test_detect_only_mode_never_engages():
         replace(base_config(), fastforward=False), prophet_factory()
     )
     assert _canon(result) == _canon(unrolled)
+
+
+# ----------------------------------------------------------------------
+# Barrier-step callbacks (collective chunk steps) canonicalize and shift
+# ----------------------------------------------------------------------
+def _ring_step(worker_bandwidth=None):
+    engine = Engine(time_quantum=QUANTUM)
+    topology = RingTopology(engine, 3, 1 * Gbps, worker_bandwidth=worker_bandwidth)
+    executor = RingExecutor(topology)
+    tokens = {id(executor): ("executor",)}
+    tokens.update({id(link): ("link", i) for i, link in enumerate(topology.links)})
+    executor.send_unit(3e6, tag=("allreduce", 5))
+    return engine, topology, executor, FFContext(0.0, 4, tokens)
+
+
+def test_equal_ends_step_is_one_canonical_drain_event():
+    engine, topology, executor, ctx = _ring_step()
+    (event,) = engine.ff_pending()
+    assert event[_FN] is _drain_batch
+    assert event[_ARGS][1] == executor._step_done
+    canon = FastForwardDetector._canon_event(None, ctx, event)
+    step_done = (("executor",), "_StepExecutor._step_done")
+    assert canon[3] == ((("link", 0), ("link", 1), ("link", 2)), step_done)
+    assert _EVENT_SHIFT[_drain_batch](FFShift(1.0, 1), event[_ARGS]) == event[_ARGS]
+
+
+def test_unequal_ends_step_stores_the_callback_on_the_slowest_link():
+    engine, topology, executor, ctx = _ring_step(worker_bandwidth={1: 0.5 * Gbps})
+    # One event per link, in (time, launch) order: the slow link fires last.
+    events = engine.ff_pending()
+    assert [e[_FN] for e in events] == [topology.links[i]._finish for i in (0, 2, 1)]
+    step_done = (("executor",), "_StepExecutor._step_done")
+    callbacks = [link.ff_state(ctx)[1][4] for link in topology.links]
+    assert callbacks == [None, step_done, None]
 
 
 # ----------------------------------------------------------------------
