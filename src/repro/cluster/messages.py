@@ -14,6 +14,7 @@ instantiated and push completion remains implicitly reliable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.sched.base import Segment, TransferUnit
@@ -21,18 +22,22 @@ from repro.sched.base import Segment, TransferUnit
 __all__ = ["PullUnit", "PushMessage", "RetryPolicy"]
 
 
-@dataclass(frozen=True)
-class PullUnit:
+class PullUnit(NamedTuple):
     """One aggregated parameter range flowing PS → worker.
 
     The PS responds **per key** (per gradient segment), as BytePS does: a
     worker's pull for a byte range becomes available as soon as that range
     is aggregated from all workers — it does not wait for the rest of the
-    push message it arrived in.  The worker then *batches* pending pull
-    units into one network message according to its strategy's granularity
+    push message it arrived in.  The pulls one push releases at one update
+    delay reach their workers from a single engine event (a release
+    wave).  The worker then *batches* pending pull units into one
+    network message according to its strategy's granularity
     (:meth:`repro.sched.base.CommScheduler.pull_batch_limit`), keeping
     per-message overhead symmetric with the push direction, as the paper's
     Eq. (4) ``u = t + 2E`` assumes.
+
+    A named tuple: one is built per pushed segment, and equality and
+    hashing are by value (retry bookkeeping keys on the unit).
     """
 
     worker: int

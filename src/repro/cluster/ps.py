@@ -17,22 +17,42 @@ synchronization model:
   waits until every worker has *completed pushing that gradient* for
   iteration ``k - staleness - 1`` — i.e. the fastest worker's clock
   (completed iterations) may exceed the slowest by at most ``staleness``.
+
+Each pushed segment costs O(1) aggregation work.  Per ``(iteration,
+gradient)`` the PS keeps the *coverage*, the minimum of the per-worker
+counts, re-reducing it only when the pusher held the minimum.  A waiting
+pull records the level its key must reach (BSP: the coverage its range
+needs; SSP: the slowest progress its staleness bound needs), and each
+key's waiting pulls stay sorted by that need: a push releases a prefix,
+and a key still below its smallest need is skipped outright.  Releases
+leave in arrival order within a key, keys in the order the push touched
+them, the pusher's own pull first.  Consecutive releases at one update
+delay form a *release wave*, handed to the workers by one engine event
+(:meth:`ParameterServer._deliver`) — bit-identical to one event per
+pull, since those would have fired back to back at the same instant.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right, insort
 from collections import defaultdict
+from operator import itemgetter
 
 import numpy as np
 
 from repro.cluster.messages import PullUnit
 from repro.errors import ConfigurationError, SimulationError
-from repro.sched.base import Segment, TransferUnit
+from repro.sched.base import TransferUnit
 from repro.sim.engine import Engine
 
 __all__ = ["ParameterServer", "SYNC_MODES"]
 
 _TOL = 1e-9
+
+# Fields of a waiting entry ``(need, arrival, pull)``.
+_NEED = itemgetter(0)
+_ARRIVAL = itemgetter(1)
 
 SYNC_MODES = ("bsp", "asp", "ssp")
 
@@ -98,15 +118,21 @@ class ParameterServer:
         # Plain lists: the hot loop only ever does scalar reads/writes and
         # min() reductions, where numpy's per-element boxing dominates.
         self._received: dict[tuple[int, int], list[float]] = {}
+        # (iteration, grad) -> min(_received[key]), kept incrementally:
+        # re-reduced only when the pushing worker held the minimum.
+        self._cover: dict[tuple[int, int], float] = {}
         # grad -> per-worker latest iteration fully pushed (-1 = none).
         self._progress: dict[int, list[int]] = {}
-        # grad -> pull units waiting for release.
-        self._waiting: dict[int, list[PullUnit]] = defaultdict(list)
-        # Pending release run: consecutive releases for one (worker,
-        # delay) pair inside a single receive_push coalesce into ONE
-        # engine wakeup (the worker's batched enqueue entry), instead of
-        # one event per pull unit.  ``[worker, delay, [pulls...]]``.
-        self._release_run: list | None = None
+        # Wait key -> ``(need, arrival, pull)`` entries sorted by need:
+        # the level the key must reach before ``pull`` is released.  BSP
+        # keys are ``(iteration, grad)`` (level: their ``_cover``); SSP
+        # keys are ``grad`` (level: the slowest worker's progress).
+        self._waiting: dict = {}
+        self._arrivals = itertools.count()
+        # Pending release wave: consecutive releases at one delay inside
+        # a single receive_push, delivered by ONE engine event
+        # (:meth:`_deliver`).  ``[delay, [pulls...]]``.
+        self._wave: list | None = None
         # Count of units across _waiting — O(1) pending_pulls.
         self._n_waiting = 0
         self._workers: list = []
@@ -193,7 +219,9 @@ class ParameterServer:
     def receive_push(self, worker: int, iteration: int, unit: TransferUnit) -> None:
         """A push message from ``worker`` arrived: credit bytes, respond
         per key."""
-        if self.sync_mode == "bsp" and iteration > self._max_push_iteration:
+        mode = self.sync_mode
+        bsp = mode == "bsp"
+        if bsp and iteration > self._max_push_iteration:
             # Under BSP a push for iteration k implies every worker fully
             # pushed (and was released for) iteration k-1: the pusher's
             # forward pass gated on its k-1 pulls, which gate on full
@@ -206,67 +234,91 @@ class ParameterServer:
                 stale = [key for key in self._received if key[0] <= cutoff]
                 for key in stale:
                     del self._received[key]
+                    del self._cover[key]
+        cover = self._cover
+        now = self.engine.now
         touched: set[int] = set()
         for seg in unit.segments:
-            key = (iteration, seg.grad)
+            grad = seg.grad
+            key = (iteration, grad)
             received = self._received.get(key)
             if received is None:
                 received = [0.0] * self.n_workers
                 self._received[key] = received
-            size = self._sizes_list[seg.grad]
-            if abs(received[worker] - seg.offset) > max(_TOL, 1e-6 * seg.nbytes):
+                cover[key] = 0.0
+            size = self._sizes_list[grad]
+            before = received[worker]
+            if abs(before - seg.offset) > max(_TOL, 1e-6 * seg.nbytes):
                 raise SimulationError(
-                    f"worker {worker} pushed gradient {seg.grad} (iter {iteration}) "
-                    f"at offset {seg.offset}, expected {received[worker]}"
+                    f"worker {worker} pushed gradient {grad} (iter {iteration}) "
+                    f"at offset {seg.offset}, expected {before}"
                 )
-            received[worker] += seg.nbytes
-            if received[worker] > size * (1 + 1e-9) + _TOL:
+            got = received[worker] = before + seg.nbytes
+            if got > size * (1 + 1e-9) + _TOL:
                 raise SimulationError(
-                    f"worker {worker} over-pushed gradient {seg.grad}: "
-                    f"{received[worker]} of {size} bytes"
+                    f"worker {worker} over-pushed gradient {grad}: "
+                    f"{got} of {size} bytes"
                 )
-            if received[worker] >= size - _TOL:
-                progress = self._progress.get(seg.grad)
+            if before == cover[key]:
+                # The pusher held the minimum: only then can it move.
+                cover[key] = min(received)
+            if got >= size - _TOL:
+                progress = self._progress.get(grad)
                 if progress is None:
                     progress = [-1] * self.n_workers
-                    self._progress[seg.grad] = progress
+                    self._progress[grad] = progress
                 if iteration > progress[worker]:
                     progress[worker] = iteration
             self.total_push_bytes += seg.nbytes
             journal = self._ff_journal
             if journal is not None:
                 journal.append(("ps", self, seg.nbytes))
-            touched.add(seg.grad)
+            touched.add(grad)
 
-            pull = PullUnit(
-                worker=worker,
-                iteration=iteration,
-                segment=seg,
-                created=self.engine.now,
-            )
-            if self._releasable(pull):
+            pull = PullUnit(worker, iteration, seg, now)
+            if bsp:
+                wait_key, need, level = key, seg.offset + seg.nbytes - _TOL, cover[key]
+            elif mode == "ssp":
+                # Clock convention: a worker that completed iteration i
+                # has clock i+1; iteration k may proceed when the slowest
+                # clock >= k - s.
+                wait_key, need = grad, iteration - self.staleness - 1
+                level = self._slowest(grad)
+            else:
+                # ASP: the pull waits only for its own bytes, which
+                # arrived with this very push.
+                self._release(pull)
+                continue
+            if level >= need:
                 self._release(pull)
             else:
-                self._waiting[seg.grad].append(pull)
+                entry = (need, next(self._arrivals), pull)
+                insort(self._waiting.setdefault(wait_key, []), entry)
                 self._n_waiting += 1
 
         # Newly credited bytes may unblock waiting pulls for these keys
-        # (other workers under BSP; stale followers under SSP).
+        # (other workers under BSP; stale followers under SSP).  Those
+        # whose need the key's level now meets form a prefix; they are
+        # released in arrival order.
         for grad in touched:
-            waiting = self._waiting.get(grad)
-            if not waiting:
+            wait_key = (iteration, grad) if bsp else grad
+            waiting = self._waiting.get(wait_key)
+            if waiting is None:
                 continue
-            still_waiting = []
-            for pull in waiting:
-                if self._releasable(pull):
-                    self._release(pull)
-                    self._n_waiting -= 1
-                else:
-                    still_waiting.append(pull)
-            if still_waiting:
-                self._waiting[grad] = still_waiting
+            level = cover[wait_key] if bsp else self._slowest(grad)
+            n = bisect_right(waiting, level, key=_NEED)
+            if n == 0:
+                continue
+            released = waiting[:n]
+            if n == len(waiting):
+                del self._waiting[wait_key]
             else:
-                del self._waiting[grad]
+                del waiting[:n]
+            self._n_waiting -= n
+            if n > 1:
+                released.sort(key=_ARRIVAL)
+            for entry in released:
+                self._release(entry[2])
         self._flush_releases()
 
         trace = self.engine.trace
@@ -280,34 +332,14 @@ class ParameterServer:
             )
 
     # ------------------------------------------------------------------
-    def _range_covered(self, iteration: int, seg: Segment) -> bool:
-        received = self._received.get((iteration, seg.grad))
-        if received is None:
-            return False
-        return min(received) >= seg.offset + seg.nbytes - _TOL
-
-    def _releasable(self, pull: PullUnit) -> bool:
-        seg = pull.segment
-        if self.sync_mode == "bsp":
-            return self._range_covered(pull.iteration, seg)
-        # ASP/SSP: the worker's own bytes are in (they arrived with this
-        # very push), so only the staleness bound can hold SSP back.
-        if self.sync_mode == "asp":
-            return True
-        # Clock convention: a worker that completed iteration i has clock
-        # i+1; iteration k may proceed when the slowest clock >= k - s.
-        bound = pull.iteration - self.staleness - 1
-        if bound < 0:
-            return True
-        progress = self._progress.get(seg.grad)
-        if progress is None:
-            return False
-        return min(progress) >= bound
+    def _slowest(self, grad: int) -> int:
+        """Latest iteration every worker has fully pushed ``grad`` (-1 = none)."""
+        progress = self._progress.get(grad)
+        return min(progress) if progress is not None else -1
 
     def _release(self, pull: PullUnit) -> None:
         if self.sync_mode != "bsp":
-            progress = self._progress.get(pull.segment.grad)
-            slowest = min(progress) if progress is not None else -1
+            slowest = self._slowest(pull.segment.grad)
             self.staleness_samples.append(max(0, pull.iteration - 1 - slowest))
         trace = self.engine.trace
         if trace.enabled:
@@ -330,37 +362,35 @@ class ParameterServer:
             delay += self._faults.ps_release_delay(
                 self.engine.now, self.server_index
             )
-        # Coalesce consecutive releases for the same worker at the same
-        # delay into one run.  Within a ``receive_push`` nothing else
-        # schedules between two releases, so the run's units would have
-        # occupied consecutive sequence numbers at one timestamp — firing
-        # them from a single wakeup that replays the per-unit enqueue+pump
-        # sequence in order is bit-identical, at 1/N the event cost.
-        run = self._release_run
-        if run is not None and run[0] == pull.worker and run[1] == delay:
-            run[2].append(pull)
+        # Consecutive releases at one delay form a wave, whatever their
+        # workers.  Within a ``receive_push`` nothing else schedules
+        # between two releases, so per-pull events would have occupied
+        # consecutive sequence numbers at one timestamp: delivering the
+        # wave from one event, in release order, is bit-identical.
+        wave = self._wave
+        if wave is not None and wave[0] == delay:
+            wave[1].append(pull)
         else:
             self._flush_releases()
-            self._release_run = [pull.worker, delay, [pull]]
+            self._wave = [delay, [pull]]
 
     def _flush_releases(self) -> None:
-        """Schedule the pending release run (if any) as one engine event."""
-        run = self._release_run
-        if run is None:
-            return
-        self._release_run = None
-        worker = self._workers[run[0]]
-        batch = run[2]
-        if len(batch) == 1:
-            self.engine.schedule_after(run[1], worker.enqueue_pull, batch[0])
-        else:
-            self.engine.schedule_after(run[1], worker.enqueue_pulls, batch)
+        """Schedule the pending release wave (if any) as one engine event."""
+        wave = self._wave
+        if wave is not None:
+            self._wave = None
+            self.engine.schedule_after(wave[0], self._deliver, wave[1])
+
+    def _deliver(self, batch: list[PullUnit]) -> None:
+        """One release wave arrives: hand each pull to its worker, in order."""
+        workers = self._workers
+        for pull in batch:
+            workers[pull.worker].enqueue_pull(pull)
 
     # ------------------------------------------------------------------
     def aggregated_bytes(self, iteration: int, grad: int) -> float:
         """Bytes of ``grad`` aggregated from all workers in ``iteration``."""
-        received = self._received.get((iteration, grad))
-        return min(received) if received is not None else 0.0
+        return self._cover.get((iteration, grad), 0.0)
 
     @property
     def pending_pulls(self) -> int:
@@ -376,6 +406,10 @@ class ParameterServer:
         ``total_push_bytes`` is deliberately absent: it is a monotone
         accumulator, replayed op-for-op from the cycle journal so its
         floating-point rounding matches the unrolled run bit for bit.
+        ``_cover`` is derived from ``_received``, and arrival numbers
+        matter only through their order, so waiting pulls appear in
+        arrival order per ``(iteration, grad)`` key (fast-forward runs
+        are BSP only).
         """
         received = tuple(
             sorted(
@@ -391,8 +425,11 @@ class ParameterServer:
         )
         waiting = tuple(
             sorted(
-                (grad, tuple(ctx.pull(u) for u in units))
-                for grad, units in self._waiting.items()
+                (
+                    (ctx.rel_iter(it), grad),
+                    tuple(ctx.pull(e[2]) for e in sorted(entries, key=_ARRIVAL)),
+                )
+                for (it, grad), entries in self._waiting.items()
             )
         )
         max_push = self._max_push_iteration
@@ -403,7 +440,7 @@ class ParameterServer:
     def ff_shift(self, shift) -> None:
         """Translate iteration labels and pull timestamps by the skipped
         cycles.  Byte counts are label-relative already."""
-        assert self._release_run is None, "release run pending across boundary"
+        assert self._wave is None, "release wave pending across boundary"
         diter = shift.diter
         if self._max_push_iteration >= 0:
             self._max_push_iteration += diter
@@ -411,14 +448,16 @@ class ParameterServer:
             (it + diter, grad): counts
             for (it, grad), counts in self._received.items()
         }
+        self._cover = {
+            (it + diter, grad): level for (it, grad), level in self._cover.items()
+        }
         for its in self._progress.values():
             for w, it in enumerate(its):
                 if it >= 0:
                     its[w] = it + diter
-        self._waiting = defaultdict(
-            list,
-            {
-                grad: [shift.pull(u) for u in units]
-                for grad, units in self._waiting.items()
-            },
-        )
+        self._waiting = {
+            (it + diter, grad): [
+                (need, seq, shift.pull(pull)) for need, seq, pull in entries
+            ]
+            for (it, grad), entries in self._waiting.items()
+        }

@@ -113,17 +113,6 @@ class ReliableDeliveryMixin:
     the state initialised by :meth:`_init_reliable_state`.
     """
 
-    def enqueue_pulls(self, pulls: list[PullUnit]) -> None:
-        """Batched PS release: one engine wakeup delivering several pulls.
-
-        Replays the exact per-unit ``enqueue_pull`` sequence (enqueue,
-        then pump) in release order, so the observable behaviour — which
-        pull wins the channel, what the batch coalescer sees in the heap
-        at each pump — is bit-identical to one engine event per unit.
-        """
-        for pull in pulls:
-            self.enqueue_pull(pull)
-
     def _init_reliable_state(self) -> None:
         """Per-host delivery state (unused — but cheap — without faults)."""
         self._push_seq = itertools.count()

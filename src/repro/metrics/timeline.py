@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GpuInterval:
     """One GPU-busy span on one worker."""
 
@@ -50,7 +50,7 @@ class GpuInterval:
     end: float
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """Per-worker iteration boundaries (bwd starts when fwd ends)."""
 
@@ -61,7 +61,7 @@ class IterationRecord:
     bwd_end: float = np.nan
 
 
-@dataclass
+@dataclass(slots=True)
 class GradientRecord:
     """Per-gradient communication timeline on one worker, one iteration."""
 
@@ -84,6 +84,15 @@ class GradientRecord:
         return self.push_end - self.push_start
 
 
+class _GradientIndex(dict):
+    """``(worker, iteration, grad) -> GradientRecord``; a missing key
+    creates its record, so a lookup that writes is one dict access."""
+
+    def __missing__(self, key: tuple[int, int, int]) -> GradientRecord:
+        rec = self[key] = GradientRecord(*key)
+        return rec
+
+
 class Recorder:
     """Accumulates simulation timelines.
 
@@ -104,7 +113,7 @@ class Recorder:
         self.trace = trace
         self.gpu_intervals: list[GpuInterval] = []
         self.iterations: list[IterationRecord] = []
-        self._gradients: dict[tuple[int, int, int], GradientRecord] = {}
+        self._gradients = _GradientIndex()
         #: ``(worker, iteration) -> IterationRecord`` index over
         #: ``iterations`` — lets the fast-forward replay address rows
         #: created in an earlier cycle window (a row is created at
@@ -168,12 +177,7 @@ class Recorder:
         """The (mutable) gradient record, or ``None`` when recording is off."""
         if not self.record_gradients:
             return None
-        key = (worker, iteration, grad)
-        rec = self._gradients.get(key)
-        if rec is None:
-            rec = GradientRecord(worker=worker, iteration=iteration, grad=grad)
-            self._gradients[key] = rec
-        return rec
+        return self._gradients[(worker, iteration, grad)]
 
     # ------------------------------------------------------------------
     # Per-gradient lifecycle marks (the paper's c, t, push end, u)
@@ -189,9 +193,8 @@ class Recorder:
                 f"worker{worker}/grad",
                 {"worker": worker, "iteration": iteration, "grad": grad},
             )
-        rec = self.gradient(worker, iteration, grad)
-        if rec is not None:
-            setattr(rec, field, t)
+        if self.record_gradients:
+            setattr(self._gradients[(worker, iteration, grad)], field, t)
             journal = self._ff_journal
             if journal is not None:
                 journal.append(("grad", worker, iteration, grad, field, t))

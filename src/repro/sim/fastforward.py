@@ -50,12 +50,12 @@ unrolls, exactly as if the detector had never been installed.
 from __future__ import annotations
 
 import os
-from dataclasses import replace as _dc_replace
 from functools import partial
 
 from repro.cluster.collective import CollectiveController
+from repro.cluster.ps import ParameterServer
 from repro.cluster.sharded import _ShardPort
-from repro.cluster.worker import ReliableDeliveryMixin, Worker
+from repro.cluster.worker import Worker
 from repro.metrics.timeline import GpuInterval, IterationRecord
 from repro.net.collective import _StepExecutor
 from repro.net.link import Link, TransferRecord, _drain_batch
@@ -163,9 +163,7 @@ class FFShift:
         self.diter = diter
 
     def pull(self, u):
-        return _dc_replace(
-            u, iteration=u.iteration + self.diter, created=u.created + self.dt
-        )
+        return u._replace(iteration=u.iteration + self.diter, created=u.created + self.dt)
 
     def tag(self, tag):
         if tag is None:
@@ -258,19 +256,11 @@ def _shift_backward_done(shift: FFShift, args) -> tuple:
     return (args[0] + shift.diter,)
 
 
-def _canon_enqueue_pull(ctx: FFContext, args) -> tuple:
-    return (ctx.pull(args[0]),)
-
-
-def _shift_enqueue_pull(shift: FFShift, args) -> tuple:
-    return (shift.pull(args[0]),)
-
-
-def _canon_enqueue_pulls(ctx: FFContext, args) -> tuple:
+def _canon_deliver(ctx: FFContext, args) -> tuple:
     return (tuple(ctx.pull(p) for p in args[0]),)
 
 
-def _shift_enqueue_pulls(shift: FFShift, args) -> tuple:
+def _shift_deliver(shift: FFShift, args) -> tuple:
     return ([shift.pull(p) for p in args[0]],)
 
 
@@ -294,18 +284,14 @@ _EVENT_CANON = {
     Worker._stall_check: _canon_noargs,
     _ShardPort._stall_check: _canon_noargs,
     CollectiveController._stall_check: _canon_noargs,
-    Worker.enqueue_pull: _canon_enqueue_pull,
-    _ShardPort.enqueue_pull: _canon_enqueue_pull,
-    ReliableDeliveryMixin.enqueue_pulls: _canon_enqueue_pulls,
+    ParameterServer._deliver: _canon_deliver,
 }
 
 _EVENT_SHIFT = {
     _drain_batch: _shift_drain_batch,
     Worker._bucket_ready: _shift_bucket_ready,
     Worker._backward_done: _shift_backward_done,
-    Worker.enqueue_pull: _shift_enqueue_pull,
-    _ShardPort.enqueue_pull: _shift_enqueue_pull,
-    ReliableDeliveryMixin.enqueue_pulls: _shift_enqueue_pulls,
+    ParameterServer._deliver: _shift_deliver,
 }
 
 #: Pending events excluded from fingerprints: the bandwidth monitor's

@@ -14,8 +14,11 @@ Covers the three behaviors the exactness property tests cannot:
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.cluster.messages import PullUnit
+from repro.cluster.ps import ParameterServer
 from repro.cluster.trainer import Trainer, run_training
 from repro.config import TrainingConfig
 from repro.errors import ConfigurationError
@@ -25,6 +28,7 @@ from repro.net.link import BandwidthSchedule, _drain_batch
 from repro.quantities import Gbps
 from repro.runner.fingerprint import fingerprint
 from repro.runner.spec import RunSpec
+from repro.sched.base import Segment, TransferUnit
 from repro.sim.engine import _ARGS, _FN, Engine
 from repro.sim.fastforward import (
     _EVENT_SHIFT,
@@ -201,6 +205,43 @@ def test_unequal_ends_step_stores_the_callback_on_the_slowest_link():
     step_done = (("executor",), "_StepExecutor._step_done")
     callbacks = [link.ff_state(ctx)[1][4] for link in topology.links]
     assert callbacks == [None, step_done, None]
+
+
+# ----------------------------------------------------------------------
+# A pending PS release wave is one event, canonicalized and shifted whole
+# ----------------------------------------------------------------------
+def test_pending_multi_worker_wave_canonicalizes_and_shifts():
+    engine = Engine(time_quantum=QUANTUM)
+    ps = ParameterServer(engine, 2, np.array([8.0, 4.0]), update_fixed=0.25)
+    ps.attach_workers([None, None])  # the wave is inspected, never fired
+    g0, g1 = Segment(0, 0.0, 8.0), Segment(1, 0.0, 2.0)
+    ps.receive_push(0, 5, TransferUnit((g0,)))
+    engine.run(until=1.0)
+    # Worker 1 completes gradient 0: its own pull, then worker 0's waiting
+    # one, leave in one wave; its gradient-1 pull waits for worker 0.
+    ps.receive_push(1, 5, TransferUnit((g0, g1)))
+    (event,) = engine.ff_pending()
+    assert event[_FN] == ps._deliver
+    ctx = FFContext(0.5, 4, {id(ps): ("ps", 0)})
+    canon = FastForwardDetector._canon_event(None, ctx, event)
+    assert canon == (
+        0.75,
+        ("ps", 0),
+        "ParameterServer._deliver",
+        (((1, 1, g0, 0.5), (0, 1, g0, -0.5)),),
+    )
+    shift = FFShift(2.0, 3)
+    assert _EVENT_SHIFT[ParameterServer._deliver](shift, event[_ARGS]) == (
+        [PullUnit(1, 8, g0, 3.0), PullUnit(0, 8, g0, 2.0)],
+    )
+    received, _, waiting, n_waiting, max_push = ps.ff_state(ctx)
+    assert received == (((1, 0), (8.0, 8.0)), ((1, 1), (0.0, 2.0)))
+    assert waiting == (((1, 1), ((1, 1, g1, 0.5),)),)
+    assert (n_waiting, max_push) == (1, 1)
+    ps.ff_shift(shift)
+    assert ps.aggregated_bytes(8, 0) == 8.0
+    assert ps.aggregated_bytes(5, 0) == 0.0
+    assert ps.ff_state(FFContext(2.5, 7, {}))[2] == waiting
 
 
 # ----------------------------------------------------------------------
