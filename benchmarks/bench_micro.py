@@ -109,7 +109,7 @@ def test_link_transfer_pump(benchmark):
 def test_sharded_link_transfer_pump(benchmark):
     """Engine-driven sends over 4 concurrent shard links (4k transfers).
 
-    The ShardedTopology data path: each (worker, shard) link pumps its own
+    The sharded-tier data path: each (worker, shard) link pumps its own
     stream, all interleaved through one event loop — measures how the
     per-message cost composes when the tier multiplies the link count.
     """

@@ -407,7 +407,7 @@ def _measure_engine_perf() -> tuple[dict[str, float], dict[str, float]]:
     best = min(_timed(fleet_star_transfers) for _ in range(3))
     timing["sim.fleet_star_transfers_per_s"] = FLEET_STAR_TRANSFERS / best
 
-    # 8-shard pump: the ShardedTopology data-path shape at fleet shard
+    # 8-shard pump: the sharded-tier data-path shape at fleet shard
     # count — per-(worker, shard) streams interleaved in one loop.
     def fleet_shard_transfers() -> None:
         eng = Engine()
@@ -688,7 +688,7 @@ def measure(
     timing["sim.transfers_per_s"] = n_transfers / best
 
     # Multi-shard pump: the same end-to-end per-message cost over 4
-    # concurrent shard links (the ShardedTopology data path) — each link
+    # concurrent shard links (the sharded-tier data path) — each link
     # pumps its own stream through the shared event loop.
     n_shard_links = 4
     n_shard_transfers = 10_000  # total across the tier

@@ -129,6 +129,31 @@ def _fastforward_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
+_WORKLOAD_ARGS = {
+    "model": ("--model", str),
+    "batch": ("--batch", int),
+    "gbps": ("--gbps", float),
+    "workers": ("--workers", int),
+    "iterations": ("--iterations", int),
+    "sync": ("--sync", str),
+    "seed": ("--seed", int),
+}
+
+
+def _add_workload_args(sub: argparse.ArgumentParser, **defaults) -> None:
+    """Workload knobs shared by the ad-hoc subcommands, added in keyword
+    order with the given defaults.  A ``(default, help)`` tuple adds help
+    text; a list default takes several values (a ``--gbps`` sweep)."""
+    for name, default in defaults.items():
+        flag, kind = _WORKLOAD_ARGS[name]
+        default, help_text = default if isinstance(default, tuple) else (default, None)
+        sub.add_argument(
+            flag, type=kind, default=default, help=help_text,
+            nargs="+" if isinstance(default, list) else None,
+            choices=("bsp", "asp", "ssp") if name == "sync" else None,
+        )
+
+
 def _add_ps_tier_args(sub: argparse.ArgumentParser) -> None:
     """PS-tier knobs shared by the ad-hoc workload subcommands."""
     sub.add_argument(
@@ -234,6 +259,12 @@ def _backend_suffix(args: argparse.Namespace) -> str:
     return f", {_resolved_collective(args)} allreduce"
 
 
+#: Defaults of the single-workload subcommands (``compare``, ``sched``).
+_WORKLOAD_DEFAULTS = dict(
+    model="resnet50", batch=64, gbps=3.0, workers=3, iterations=12, sync="bsp", seed=0
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="repro",
@@ -263,13 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser(
         "compare", help="compare all strategies on one workload"
     )
-    compare.add_argument("--model", default="resnet50")
-    compare.add_argument("--batch", type=int, default=64)
-    compare.add_argument("--gbps", type=float, default=3.0)
-    compare.add_argument("--workers", type=int, default=3)
-    compare.add_argument("--iterations", type=int, default=12)
-    compare.add_argument("--sync", default="bsp", choices=("bsp", "asp", "ssp"))
-    compare.add_argument("--seed", type=int, default=0)
+    _add_workload_args(compare, **_WORKLOAD_DEFAULTS)
     _add_ps_tier_args(compare)
     _add_backend_args(compare)
     _add_fastforward_args(compare, time_quantum=True)
@@ -282,13 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="communication-scheduling strategy to simulate "
         f"(one of: {', '.join(sorted(EXTENDED_FACTORIES))})",
     )
-    sched.add_argument("--model", default="resnet50")
-    sched.add_argument("--batch", type=int, default=64)
-    sched.add_argument("--gbps", type=float, default=3.0)
-    sched.add_argument("--workers", type=int, default=3)
-    sched.add_argument("--iterations", type=int, default=12)
-    sched.add_argument("--sync", default="bsp", choices=("bsp", "asp", "ssp"))
-    sched.add_argument("--seed", type=int, default=0)
+    _add_workload_args(sched, **_WORKLOAD_DEFAULTS)
     _add_ps_tier_args(sched)
     _add_backend_args(sched)
     _add_fastforward_args(sched, time_quantum=True)
@@ -304,22 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser("sweep", help="bandwidth sweep for one workload")
-    sweep.add_argument("--model", default="resnet50")
-    sweep.add_argument("--batch", type=int, default=64)
-    sweep.add_argument("--gbps", type=float, nargs="+", default=[1.0, 3.0, 10.0])
-    sweep.add_argument("--workers", type=int, default=3)
-    sweep.add_argument("--iterations", type=int, default=12)
-    sweep.add_argument("--seed", type=int, default=0)
+    _add_workload_args(
+        sweep, model="resnet50", batch=64, gbps=[1.0, 3.0, 10.0], workers=3,
+        iterations=12, seed=0,
+    )
     _add_ps_tier_args(sweep)
 
     chaos = sub.add_parser(
         "chaos", help="paired clean/faulty resilience comparison"
     )
-    chaos.add_argument("--model", default="resnet18")
-    chaos.add_argument("--batch", type=int, default=64)
-    chaos.add_argument("--iterations", type=int, default=12)
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--workers", type=int, default=3)
+    _add_workload_args(
+        chaos, model="resnet18", batch=64, iterations=12, seed=0, workers=3
+    )
     chaos.add_argument(
         "--crash-at", type=float, default=2.0,
         help="crash worker 1 at this sim time (s)",
@@ -370,13 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--nic-gbps", type=float, default=3.0,
         help="per-host NIC rate in Gbps, the per-tenant cap (default 3)",
     )
-    fleet.add_argument("--model", default="resnet18")
-    fleet.add_argument("--batch", type=int, default=32)
-    fleet.add_argument(
-        "--workers", type=int, default=2,
-        help="workers (GPU slots) per job (default 2)",
+    _add_workload_args(
+        fleet, model="resnet18", batch=32,
+        workers=(2, "workers (GPU slots) per job (default 2)"), iterations=4,
     )
-    fleet.add_argument("--iterations", type=int, default=4)
     fleet.add_argument(
         "--strategies", nargs="+", default=["prophet"], metavar="STRATEGY",
         help="scheduling strategies assigned round-robin to jobs; each "
@@ -387,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mean Poisson interarrival gap between submissions "
         "(default 0.05; 0 = all jobs arrive at t=0)",
     )
-    fleet.add_argument("--seed", type=int, default=0)
+    _add_workload_args(fleet, seed=0)
 
     bench = sub.add_parser(
         "bench", help="timed Fig. 8 FAST grid through the parallel runner"

@@ -12,12 +12,10 @@ executes the same sequence.
 This module mirrors that shape.  A :class:`CollectiveController` owns the
 single :class:`~repro.sched.base.CommScheduler` instance for the job and
 the collective executor (the :class:`~repro.net.transport.Transport`).
-:class:`CollectiveWorker` reuses the entire compute path of
-:class:`~repro.cluster.worker.Worker` (forward gating, bucket flushes,
-iteration bookkeeping — the same inheritance trick as
-:class:`~repro.cluster.sharded.ShardedWorker`) but overrides the four
-scheduler fan-out hooks to *report* to the controller instead of driving
-a private scheduler:
+:class:`CollectiveWorker` is a :class:`~repro.cluster.worker.Worker`
+(forward gating, bucket flushes, iteration bookkeeping) whose one port, a
+:class:`CollectivePort`, *reports* to the controller instead of driving a
+private scheduler the way a parameter-server port does:
 
 * ``begin_iteration(k)`` fires on the scheduler when the **last** worker
   enters backward ``k`` (the negotiated backward start);
@@ -58,22 +56,21 @@ behind an ``is None`` check and the event sequence is bit-identical.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
-
-import numpy as np
 
 from repro.agg.kvstore import GenerationSchedule
-from repro.cluster.messages import PullUnit
 from repro.cluster.worker import Worker
 from repro.errors import SimulationError
 from repro.metrics.timeline import Recorder
-from repro.models.compute import ComputeProfile
-from repro.models.gradients import gradient_table
 from repro.net.transport import Transport
 from repro.sched.base import CommScheduler, TransferUnit
 from repro.sim.engine import Engine
 
-__all__ = ["CollectiveController", "CollectiveWorker", "EffectiveBandwidthView"]
+__all__ = [
+    "CollectiveController",
+    "CollectivePort",
+    "CollectiveWorker",
+    "EffectiveBandwidthView",
+]
 
 _TOL = 1e-9
 
@@ -439,99 +436,54 @@ class CollectiveController:
         self.pump()
 
 
+class CollectivePort:
+    """A worker's port onto the collective: reports to the controller.
+
+    Where a :class:`~repro.cluster.worker.PSPort` drives a private
+    scheduler, this port forwards every compute-side event to the
+    :class:`CollectiveController` that negotiates the one shared
+    scheduler; completed operations come back through
+    :meth:`CollectiveWorker._collective_credit`.
+    """
+
+    def __init__(self, controller: CollectiveController, worker_id: int):
+        self.controller = controller
+        self.worker_id = worker_id
+
+    def begin_iteration(self, iteration: int, sched, now: float) -> None:
+        self.controller.worker_begin_iteration(self.worker_id, iteration, sched, now)
+
+    def end_iteration(self, iteration: int, span: float, now: float) -> None:
+        self.controller.worker_end_iteration(self.worker_id, iteration, span, now)
+
+    def gradient_ready(self, grad: int, now: float) -> None:
+        self.controller.worker_gradient_ready(self.worker_id, grad, now)
+
+    def pump(self) -> None:
+        self.controller.pump()
+
+    def clear_pull_attempts(self) -> None:
+        """No per-pull retry state: collective ops carry pushes and pulls
+        in one operation, retried at the chunk level by the executor."""
+
+    def ff_state(self, ctx) -> tuple:
+        # The controller snapshots the shared communication state.
+        return ()
+
+    def ff_shift(self, shift) -> None:
+        pass
+
+
 class CollectiveWorker(Worker):
     """Worker whose communication is a negotiated collective (no PS)."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        worker_id: int,
-        compute: ComputeProfile,
-        gen_schedule: GenerationSchedule,
-        controller: CollectiveController,
-        recorder: Recorder,
-        n_iterations: int,
-        jitter_rng: np.random.Generator,
-        jitter_std: float = 0.0,
-        compute_scale: float = 1.0,
-        on_done: Callable[[int], None] | None = None,
-        faults=None,
-    ):
-        # Deliberately does NOT call Worker.__init__ (same pattern as
-        # ShardedWorker): the base constructor wires a private channel,
-        # scheduler and PS, none of which exist here.  Only the compute-
-        # path state the inherited methods read is set up.
-        self.engine = engine
-        self.worker_id = worker_id
-        self._quantum = engine._quantum
-        self._inv_quantum = engine._inv_quantum
-        self.compute = compute
-        self.gen_schedule = gen_schedule
+    def __init__(self, *args, controller: CollectiveController, **kwargs):
+        super().__init__(*args, **kwargs)
         self.controller = controller
-        self.recorder = recorder
-        self.n_iterations = n_iterations
-        self._jitter_rng = jitter_rng
-        self._jitter_std = jitter_std
-        self._compute_scale = compute_scale
-        self._on_done = on_done
-
-        grads = gradient_table(compute.model)
-        self._n_grads = len(grads)
-        self._layer_of = [g.layer_index for g in grads]
-        self._layer_tensor_counts = [0] * len(compute.model.layers)
-        for g in grads:
-            self._layer_tensor_counts[g.layer_index] += 1
-        self._total_tensor_count = sum(self._layer_tensor_counts)
-        self._sizes = [float(s) for s in gen_schedule.sizes]
-
-        self._iter = -1
-        self._comm_iter = -1
-        self._factor = 1.0
-        self._fwd_layer = 0
-        self._fwd_chunk_pending = False
-        self._fwd_start_times: list[float] = []
-        self._layer_pending = [0] * len(self._layer_tensor_counts)
-        self._pending_updates = 0
-        self._pulled = [0.0] * self._n_grads
-        self._pushed = [0.0] * self._n_grads
-        self._ready_time: list[float | None] = [None] * self._n_grads
-        self._iter_rec = None
-        self._compute_done = False
-        self._done = False
-        # ``None`` keeps the inherited ``_schedule_at``/``_schedule_after``
-        # on the ``is None`` fast path; with an injector wired the
-        # compute-event guards enable crash suspension.
-        self._faults = faults
-        self._suspended = False
-        self._deferred: list = []
+        self.ports.append(CollectivePort(controller, self.worker_id))
         # Fault-free, the controller overwrites every member's ready mark;
         # under faults a rank can crash between its flush and that write.
-        self._own_ready_mark = faults is not None
-
-        # Base-class aliases for shared helpers and debuggers.
-        self.scheduler = controller.scheduler
-        self.channel = None
-        self.downlink = None
-        self.ps = None
-
-    # ------------------------------------------------------------------
-    # Scheduler fan-out hooks (see Worker): report to the controller
-    # ------------------------------------------------------------------
-    def _sched_begin_iteration(self, iteration: int, sched, now: float) -> None:
-        self.controller.worker_begin_iteration(self.worker_id, iteration, sched, now)
-
-    def _sched_end_iteration(self, iteration: int, span: float, now: float) -> None:
-        self.controller.worker_end_iteration(self.worker_id, iteration, span, now)
-
-    def _sched_gradient_ready(self, grad: int, now: float) -> None:
-        self.controller.worker_gradient_ready(self.worker_id, grad, now)
-
-    def _pump_all(self) -> None:
-        self.controller.pump()
-
-    def _clear_pull_attempts(self) -> None:
-        """No per-pull retry state: collective ops carry pushes and pulls
-        in one operation, retried at the chunk level by the executor."""
+        self._own_ready_mark = self._faults is not None
 
     # ------------------------------------------------------------------
     # Operation-completion credit (called by the controller)
@@ -566,24 +518,8 @@ class CollectiveWorker(Worker):
         self._check_done()
 
     # ------------------------------------------------------------------
-    # Steady-state fast-forward protocol (repro.sim.fastforward)
+    # Faults: a crashed rank leaves the ring for good
     # ------------------------------------------------------------------
-    def ff_state(self, ctx) -> tuple:
-        # No private pull queue: the controller snapshots the shared
-        # communication state, only the compute pipeline lives here.
-        return self._ff_compute_state(ctx)
-
-    def ff_shift(self, shift) -> None:
-        self._ff_shift_compute(shift)
-
-    # ------------------------------------------------------------------
-    # Entry points that must not be reached in collective mode
-    # ------------------------------------------------------------------
-    def enqueue_pull(self, pull: PullUnit) -> None:  # pragma: no cover
-        raise SimulationError(
-            "CollectiveWorker has no parameter server to pull from"
-        )
-
     def crash(self) -> None:
         """A crashed rank leaves the collective permanently.
 

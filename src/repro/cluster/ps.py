@@ -99,8 +99,8 @@ class ParameterServer:
         #: pushes arrive through :meth:`deliver_push` with sequence numbers
         #: and pull releases absorb PS-stall windows.
         self._faults = faults
-        #: Shard index in a sharded tier (scopes per-server PS stalls);
-        #: ``None`` on the single-PS star.
+        #: Server index in the PS tier (scopes per-server PS stalls);
+        #: ``None`` for a server built outside a tier.
         self.server_index = server_index
         # ServerCrash outage state: while down, the delivery layer treats
         # in-flight pushes as lost (workers retry them against the warm

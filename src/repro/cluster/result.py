@@ -24,7 +24,7 @@ from repro.metrics.utilization import mean_utilization, windowed_utilization
 from repro.models.compute import ComputeProfile
 from repro.net.collective import HierarchicalTopology, RingTopology
 from repro.net.link import TransferRecord
-from repro.net.topology import ShardedTopology, StarTopology
+from repro.net.topology import StarTopology
 from repro.trace.export import summarize_trace, write_chrome_trace, write_trace_jsonl
 from repro.trace.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 
@@ -48,7 +48,7 @@ class TrainingResult:
 
     config: TrainingConfig
     recorder: Recorder
-    topology: StarTopology | ShardedTopology | RingTopology | HierarchicalTopology
+    topology: StarTopology | RingTopology | HierarchicalTopology
     schedulers: list
     gen_schedule: GenerationSchedule
     compute: ComputeProfile

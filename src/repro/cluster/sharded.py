@@ -1,700 +1,134 @@
-"""Sharded-PS worker: one compute pipeline, one comm agent per shard.
+"""PS-tier wiring: key assignment, servers, and one port per worker and server.
 
-A :class:`ShardedWorker` runs the exact same compute path as the single-PS
-:class:`~repro.cluster.worker.Worker` (it inherits forward gating, bucket
-flushes, and iteration bookkeeping unchanged) but fans communication out
-over ``n_servers`` independent :class:`_ShardPort` agents — one per
-parameter-server shard, each with its own scheduler instance, uplink,
-optional downlink, pull queue, and stall timer.  Because every port owns
-its own link pair, a head-of-line block on one shard (e.g. a large
-low-priority tensor in flight) never delays another shard's urgent
-gradients — the BytePS property the tentpole exists to model.
+The parameter-server backend is one construction for any tier width.
+:func:`build_ps_tier` assigns every gradient byte to one of
+``n_servers`` servers (:mod:`repro.cluster.sharding`), builds one
+:class:`~repro.cluster.ps.ParameterServer` per server over its local
+piece sizes, and gives every worker one
+:class:`~repro.cluster.worker.PSPort` per server — each with its own
+scheduler instance over the server's locally re-indexed generation
+schedule, its own link pair, and a bandwidth monitor on its uplink.  The
+paper's star is the one-server case: the assignment maps every gradient
+to itself, so the worker drives exactly one port over the whole model.
 
-Index spaces: the worker's compute path and recorder run on **global**
-gradient indices; each port's scheduler, PS, and messages run on the
-shard's **local** piece indices (dense, priority-ordered — see
-:mod:`repro.cluster.sharding`).  Ports translate at the boundary: a
-committed push credits global ``_pushed`` bytes, a completed pull credits
-global ``_pulled`` bytes and the layer-gating counters, and the recorder
-marks fire on global indices exactly once per gradient per iteration
-(when the piece bytes complete the whole tensor).
-
-Synchronization semantics are preserved across shards: each shard PS
+Synchronization semantics are preserved across servers: each server
 applies BSP/ASP/SSP per piece, and the worker's forward pass for
 iteration ``k+1`` still gates on *all* global parameter updates of
 iteration ``k`` — so global BSP is exactly the conjunction of the
-per-shard BSP conditions.
+per-server BSP conditions.
 
-**Fault mode.**  When the trainer wires a
-:class:`~repro.faults.injector.FaultInjector`, every port independently
-runs the :class:`~repro.cluster.worker.ReliableDeliveryMixin` protocol
-against its shard PS: per-port sequence numbers, per-leg drop rolls on
-the port's own duplex links, and per-port retry queues — a drop on one
-shard never delays another shard's traffic.  A worker crash suspends the
-shared compute pipeline once and aborts every port's in-flight transfer;
-a :class:`~repro.faults.plan.ServerCrash` takes one shard PS down, and
-that shard's unacked pushes replay against the warm standby while the
-other shards stream on undisturbed.  With no injector every port stays
-on the fault-free fast path, bit-identical to before.
+**The one-shard rule.**  A one-server tier keeps the star's labels: the
+PS is named ``ps``, scheduler RNG streams are ``("sched", w)``, links
+``worker{w}-up``/``-down`` with noise streams ``("link", w, dir)`` (see
+:class:`~repro.net.topology.StarTopology`), and trace rows
+``worker{w}/comm``; ``shard_slice_bytes`` is ignored.  With two or more
+servers the PSs are ``ps{s}``, streams carry the shard index, and every
+port's rows live under ``worker{w}/s{s}``.
+
+**Fault mode.**  Every port runs the reliable-delivery protocol against
+its own server, so a drop on one shard never delays another shard's
+traffic; a :class:`~repro.faults.plan.ServerCrash` takes one server down
+while the others stream on undisturbed.
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import partial
-from heapq import heapify, heappop, heappush
-from typing import Callable
-
-import numpy as np
-
 from repro.agg.kvstore import GenerationSchedule
-from repro.cluster.messages import PullUnit, PushMessage
 from repro.cluster.ps import ParameterServer
-from repro.cluster.sharding import ShardAssignment
-from repro.cluster.worker import (
-    ReliableDeliveryMixin,
-    Worker,
-    _ff_pull_heap_state,
-    _ff_shift_pull_heap,
+from repro.cluster.sharding import (
+    ShardAssignment,
+    assign_shards,
+    restrict_generation_schedule,
 )
-from repro.errors import SimulationError
-from repro.metrics.timeline import Recorder
-from repro.models.compute import ComputeProfile
-from repro.models.gradients import gradient_table
-from repro.net.link import Link
-from repro.net.transport import LinkTransport
-from repro.sched.base import CommScheduler, TransferUnit
+from repro.cluster.worker import PSPort, Worker
+from repro.config import SchedulerFactory, TrainingConfig, WorkerContext
+from repro.core.profiler import JobProfile
+from repro.net.monitor import BandwidthMonitor
+from repro.sim.engine import Engine
+from repro.sim.rng import spawn_rng
 
-__all__ = ["ShardedWorker"]
-
-_TOL = 1e-9
+__all__ = ["build_ps_tier"]
 
 
-class _ShardPort(ReliableDeliveryMixin):
-    """Communication agent of one worker towards one PS shard.
+def build_ps_tier(
+    engine: Engine,
+    config: TrainingConfig,
+    gen_schedule: GenerationSchedule,
+    topology,
+    workers: list[Worker],
+    scheduler_factory: SchedulerFactory,
+    faults=None,
+) -> tuple[ShardAssignment, list[ParameterServer], list, list[BandwidthMonitor]]:
+    """Attach the PS tier to ``workers``.
 
-    Mirrors the single-PS worker's channel logic — shared-channel
-    arbitration between the scheduler's proposed push and pending pulls,
-    priority-prefix pull batching, and the stall-probe escape hatch — on
-    the shard's local index space.  The shard PS calls
-    :meth:`enqueue_pull` on the port directly (ports are what
-    ``attach_workers`` receives).  In fault mode each port is an
-    independent reliable-delivery endpoint (its own sequence numbers,
-    retry queue, and drop rolls) sharing the worker's crash state.
+    Returns ``(assignment, servers, schedulers, monitors)``; schedulers
+    and monitors are listed worker-major, server-minor.
     """
-
-    def __init__(
-        self,
-        worker: "ShardedWorker",
-        shard: int,
-        scheduler: CommScheduler,
-        channel: Link,
-        downlink: Link | None,
-        ps: ParameterServer,
-    ):
-        self.worker = worker
-        self.shard = shard
-        self.scheduler = scheduler
-        self.channel = channel
-        self.transport = LinkTransport(channel)
-        self.downlink = downlink
-        self.ps = ps
-        #: Local index -> :class:`~repro.cluster.sharding.ShardPiece`.
-        self.pieces = worker.assignment.by_shard[shard]
-        self._pull_heap: list[tuple[tuple, PullUnit, float]] = []
-        self._pull_seq = itertools.count()
-        self._pull_by_priority = (downlink is not None) or not scheduler.fifo_channel
-        self._stall_timer = None
-        self._track = f"worker{worker.worker_id}/s{shard}"
-        self._init_reliable_state()
-        channel.on_idle = self._pump
-        if downlink is not None:
-            downlink.on_idle = self._pump_downlink
-
-    # ------------------------------------------------------------------
-    # Worker-state delegation (the ReliableDeliveryMixin contract: the
-    # port is a delivery endpoint, crash/suspension state is worker-wide).
-    # ------------------------------------------------------------------
-    @property
-    def engine(self):
-        return self.worker.engine
-
-    @property
-    def worker_id(self) -> int:
-        return self.worker.worker_id
-
-    @property
-    def _faults(self):
-        return self.worker._faults
-
-    @property
-    def _done(self) -> bool:
-        return self.worker._done
-
-    def _schedule_after(self, delay: float, fn, *args):
-        return self.worker._schedule_after(delay, fn, *args)
-
-    # ------------------------------------------------------------------
-    def enqueue_pull(self, pull: PullUnit) -> None:
-        """The shard PS released updated parameters for this worker."""
-        self._enqueue_pull_item(pull, self.worker.engine.now)
-        if self.downlink is not None:
-            self._pump_downlink()
-        else:
-            self._pump()
-
-    def _enqueue_pull_item(self, pull: PullUnit, arrival: float) -> None:
-        if self._pull_by_priority:
-            key = (pull.priority, arrival, next(self._pull_seq))
-        else:
-            key = (arrival, next(self._pull_seq))
-        heappush(self._pull_heap, (key, pull, arrival))
-
-    def _pick_pull(self) -> tuple[PullUnit, float] | None:
-        if not self._pull_heap:
-            return None
-        entry = self._pull_heap[0]
-        return entry[1], entry[2]
-
-    def _push_arrival(self, unit: TransferUnit) -> float:
-        piece = self.pieces[unit.segments[0].grad]
-        ready = self.worker._ready_time[piece.grad]
-        return ready if ready is not None else self.worker.engine.now
-
-    # ------------------------------------------------------------------
-    def _pump(self) -> None:
-        """Arbitrate this shard's channel between pulls and the push."""
-        worker = self.worker
-        if worker._done or self.channel.busy:
-            return
-        if worker._faults is not None:
-            if worker._suspended:
-                return
-            # Retransmissions go first: they carry the oldest committed
-            # bytes, which every BSP peer is already gated on.
-            if self._transmit_next_retry():
-                return
-        now = worker.engine.now
-        pull_item = self._pick_pull() if self.downlink is None else None
-        push = self.scheduler.propose_unit(now)
-
-        choose_pull = False
-        if pull_item is not None and push is None:
-            choose_pull = True
-        elif pull_item is not None and push is not None:
-            if self.scheduler.fifo_channel:
-                choose_pull = pull_item[1] <= self._push_arrival(push)
-            else:
-                choose_pull = pull_item[0].priority <= push.priority
-
-        if choose_pull:
-            self._send_pull_batch(self.channel)
-        elif push is not None:
-            self._send_push(push)
-        elif self.scheduler.pending_bytes > 0:
-            self._arm_stall_timer()
-
-    def _arm_stall_timer(self) -> None:
-        if self._stall_timer is not None and self._stall_timer.alive:
-            return
-        self._stall_timer = self.worker.engine.schedule_after(
-            self.worker._stall_timeout, self._stall_check
+    n = config.n_servers
+    sharded = n > 1
+    assignment = assign_shards(
+        gen_schedule.sizes, n, config.shard_slice_bytes if sharded else None
+    )
+    templates = [
+        restrict_generation_schedule(gen_schedule, assignment, s) for s in range(n)
+    ]
+    servers = [
+        ParameterServer(
+            engine,
+            n_workers=config.n_workers,
+            sizes=template.sizes,
+            update_fixed=config.ps_update_fixed,
+            update_per_byte=config.ps_update_per_byte,
+            sync_mode=config.sync_mode,
+            staleness=config.ssp_staleness,
+            faults=faults,
+            name=f"ps{s}" if sharded else "ps",
+            server_index=s,
         )
+        for s, template in enumerate(templates)
+    ]
+    profiles = [JobProfile.from_generation_schedule(t) for t in templates]
 
-    def _stall_check(self) -> None:
-        self._stall_timer = None
-        worker = self.worker
-        if (
-            worker._done
-            or worker._suspended
-            or self.channel.busy
-            or self._pull_heap
-            or self.scheduler.pending_bytes <= 0
-        ):
-            return
-        trace = worker.engine.trace
-        if trace.enabled:
-            trace.instant(
-                "stall.probe",
-                "sched",
-                worker.engine.now,
-                f"{self._track}/comm",
-                {"pending_bytes": self.scheduler.pending_bytes},
-            )
-        self.scheduler.grant_probe(worker.engine.now)
-        self._pump()
-
-    def _pump_downlink(self) -> None:
-        assert self.downlink is not None
-        worker = self.worker
-        if (
-            worker._done
-            or worker._suspended
-            or self.downlink.busy
-            or not self._pull_heap
-        ):
-            return
-        self._send_pull_batch(self.downlink)
-
-    # ------------------------------------------------------------------
-    def _send_pull_batch(self, link: Link) -> None:
-        """Send the head pull, batching more under ``pull_batch_limit``."""
-        _, head_pull, _ = heappop(self._pull_heap)
-        batch = [head_pull]
-        total = head_pull.total_bytes
-        limit = self.scheduler.pull_batch_limit(self.worker.engine.now)
-        if limit is not None and self._pull_heap:
-            if self._pull_by_priority:
-                heap = self._pull_heap
-                while heap:
-                    pull = heap[0][1]
-                    if total + pull.total_bytes > limit:
-                        break
-                    heappop(heap)
-                    batch.append(pull)
-                    total += pull.total_bytes
-            else:
-                candidates = sorted(
-                    self._pull_heap, key=lambda e: (e[1].priority, e[2], e[0])
+    compute_scale = dict(config.worker_compute_scale or {})
+    schedulers: list = []
+    monitors: list[BandwidthMonitor] = []
+    for worker in workers:
+        w = worker.worker_id
+        # Each worker's oracle profile reflects *its own* compute pace
+        # (the real profiler runs per worker) — a compute straggler's
+        # generation times are proportionally later.
+        scale = compute_scale.get(w, 1.0)
+        for s in range(n):
+            uplink = topology.uplink(w, s)
+            monitor = BandwidthMonitor(engine, uplink, interval=config.monitor_interval)
+            monitors.append(monitor)
+            profile = profiles[s]
+            if scale != 1.0:
+                profile = JobProfile(c=profile.c * scale, sizes=profile.sizes, iterations=0)
+            stream = ("sched", w, s) if sharded else ("sched", w)
+            scheduler = scheduler_factory(
+                WorkerContext(
+                    worker_id=w,
+                    monitor=monitor,
+                    oracle_profile=profile,
+                    tcp=config.tcp,
+                    rng=spawn_rng(config.seed, *stream),
+                    engine=engine,
                 )
-                taken: set = set()
-                for entry in candidates:
-                    pull = entry[1]
-                    if total + pull.total_bytes > limit:
-                        break
-                    batch.append(pull)
-                    total += pull.total_bytes
-                    taken.add(entry)
-                if taken:
-                    self._pull_heap = [
-                        e for e in self._pull_heap if e not in taken
-                    ]
-                    heapify(self._pull_heap)
-        if self.worker._faults is not None:
-            self._inflight_pulls[link] = batch
-        link.send(
-            total,
-            tag=("pull", batch[0].iteration),
-            on_complete=partial(
-                self._pulls_done, link, batch, self.worker.engine.now
-            ),
-            extra_time=self._unit_sync_time(),
-        )
-
-    def _unit_sync_time(self) -> float:
-        return self.scheduler.unit_sync_rtts * self.channel.tcp.rtt
-
-    def _send_push(self, unit: TransferUnit) -> None:
-        worker = self.worker
-        now = worker.engine.now
-        self.scheduler.commit_unit(unit, now)
-        for seg in unit.segments:
-            piece = self.pieces[seg.grad]
-            # The gradient's true first byte: global offset 0, which lives
-            # in slice 0 on exactly one shard — the mark fires once.
-            if seg.offset <= _TOL and piece.offset <= _TOL:
-                worker.recorder.mark_push_start(
-                    worker.worker_id, worker._comm_iter, piece.grad, now
+            )
+            schedulers.append(scheduler)
+            worker.ports.append(
+                PSPort(
+                    worker,
+                    assignment,
+                    shard=s,
+                    schedule=templates[s],
+                    scheduler=scheduler,
+                    channel=uplink,
+                    downlink=topology.downlink(w, s) if config.duplex else None,
+                    ps=servers[s],
                 )
-        desc: dict[str, object] | None = None
-        if worker.engine.trace.enabled:
-            desc = self.scheduler.describe_unit(unit)
-            self._trace_push_spans(unit, desc, now)
-        if worker._faults is None:
-            self.transport.send_unit(
-                unit.total_bytes,
-                tag=("push", worker._comm_iter),
-                on_complete=partial(
-                    self._push_done, worker._comm_iter, unit, now, desc
-                ),
-                extra_time=self._unit_sync_time(),
             )
-            return
-        msg = PushMessage(
-            seq=next(self._push_seq), iteration=worker._comm_iter, unit=unit
-        )
-        self._outstanding[msg.seq] = msg
-        self._push_desc[msg.seq] = desc
-        self._transmit_push(msg)
-
-    def _trace_push_spans(
-        self, unit: TransferUnit, desc: dict[str, object], now: float
-    ) -> None:
-        worker = self.worker
-        trace = worker.engine.trace
-        readies = [
-            worker._ready_time[self.pieces[seg.grad].grad]
-            for seg in unit.segments
-            if worker._ready_time[self.pieces[seg.grad].grad] is not None
-        ]
-        trace.complete(
-            f"assemble p{unit.priority}",
-            "assembly",
-            min(readies) if readies else now,
-            now,
-            f"{self._track}/assembly",
-            desc,
-        )
-        for seg in unit.segments:
-            if seg.offset > _TOL:
-                continue
-            piece = self.pieces[seg.grad]
-            ready = worker._ready_time[piece.grad]
-            if ready is not None and now > ready:
-                trace.complete(
-                    f"wait g{piece.grad}",
-                    "wait",
-                    ready,
-                    now,
-                    f"{self._track}/wait",
-                    {
-                        "grad": piece.grad,
-                        "part": piece.part,
-                        "shard": self.shard,
-                        "iteration": worker._comm_iter,
-                    },
-                )
-
-    def _push_done(
-        self,
-        iteration: int,
-        unit: TransferUnit,
-        start: float,
-        desc: dict[str, object] | None,
-    ) -> None:
-        worker = self.worker
-        now = worker.engine.now
-        worker._credit_push(self, unit, iteration, now)
-        trace = worker.engine.trace
-        if trace.enabled:
-            trace.complete(
-                f"push i{iteration}",
-                "comm",
-                start,
-                now,
-                f"{self._track}/comm",
-                desc if desc is not None else {},
-            )
-        self.scheduler.unit_sent(unit, now)
-        self.ps.receive_push(worker.worker_id, iteration, unit)
-
-    def _pulls_done(self, link: Link, batch: list[PullUnit], start: float) -> None:
-        worker = self.worker
-        now = worker.engine.now
-        if worker._faults is not None:
-            self._inflight_pulls.pop(link, None)
-            if worker._faults.roll_drop("pull", worker.worker_id):
-                self._schedule_pull_retry(batch)
-                return
-        for pull in batch:
-            self.scheduler.pull_completed(pull.segment.grad, pull.segment.nbytes, now)
-        worker._credit_pulls(self, batch, start, now, self._track)
-
-    def _account_push(self, msg: PushMessage, start: float) -> None:
-        """First delivery of a push on this port (fault mode): the
-        fault-free completion bookkeeping, minus the PS hand-off (which
-        :meth:`~repro.cluster.ps.ParameterServer.deliver_push` already
-        performed)."""
-        worker = self.worker
-        now = worker.engine.now
-        if msg.iteration == worker._comm_iter:
-            worker._credit_push(self, msg.unit, msg.iteration, now)
-        trace = worker.engine.trace
-        if trace.enabled:
-            desc = self._push_desc.get(msg.seq)
-            trace.complete(
-                f"push i{msg.iteration}",
-                "comm",
-                start,
-                now,
-                f"{self._track}/comm",
-                desc if desc is not None else {},
-            )
-        self.scheduler.unit_sent(msg.unit, now)
-
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward protocol (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    def ff_state(self, ctx) -> tuple:
-        """Canonical snapshot of this port's pull queue (its scheduler and
-        links snapshot themselves)."""
-        return (_ff_pull_heap_state(self._pull_heap, ctx),)
-
-    def ff_shift(self, shift) -> None:
-        if self._pull_heap:
-            self._pull_heap = _ff_shift_pull_heap(
-                self._pull_heap, shift, self._pull_by_priority
-            )
-
-    def abort_for_crash(self) -> None:
-        """Worker crashed: abort this port's in-flight traffic.
-
-        The in-flight push's bytes are lost and the message re-enters the
-        port's retry queue; an in-flight pull batch is re-queued for
-        redelivery.  Mirrors the single-PS worker's crash handling, once
-        per port.
-        """
-        if self._stall_timer is not None:
-            self._stall_timer.cancel()
-            self._stall_timer = None
-        for link in (self.channel, self.downlink):
-            if link is None:
-                continue
-            tag = link.abort()
-            if tag is None:
-                continue
-            kind = tag[0] if isinstance(tag, tuple) else None
-            if kind == "push" and self._inflight_push is not None:
-                self._retry_queue.append(self._inflight_push)
-                self._inflight_push = None
-            elif kind == "pull":
-                batch = self._inflight_pulls.pop(link, None)
-                if batch:
-                    now = self.engine.now
-                    for pull in batch:
-                        self._enqueue_pull_item(pull, now)
-
-
-class ShardedWorker(Worker):
-    """Worker with one comm agent per PS shard (compute path inherited)."""
-
-    def __init__(
-        self,
-        engine,
-        worker_id: int,
-        compute: ComputeProfile,
-        gen_schedule: GenerationSchedule,
-        assignment: ShardAssignment,
-        shard_schedules: list[GenerationSchedule],
-        schedulers: list[CommScheduler],
-        channels: list[Link],
-        downlinks: list[Link] | None,
-        servers: list[ParameterServer],
-        recorder: Recorder,
-        n_iterations: int,
-        jitter_rng: np.random.Generator,
-        jitter_std: float = 0.0,
-        compute_scale: float = 1.0,
-        on_done: Callable[[int], None] | None = None,
-        stall_timeout: float = 5e-3,
-        faults=None,
-    ):
-        # Deliberately does NOT call Worker.__init__: the base constructor
-        # wires a single channel/scheduler/PS.  The compute-path state the
-        # inherited methods read is set up here, and all single-channel
-        # comm state is replaced by the per-shard ports.
-        self.engine = engine
-        self.worker_id = worker_id
-        self._quantum = engine._quantum
-        self._inv_quantum = engine._inv_quantum
-        self.compute = compute
-        self.gen_schedule = gen_schedule
-        self.assignment = assignment
-        self.recorder = recorder
-        self.n_iterations = n_iterations
-        self._jitter_rng = jitter_rng
-        self._jitter_std = jitter_std
-        self._compute_scale = compute_scale
-        self._on_done = on_done
-
-        grads = gradient_table(compute.model)
-        self._n_grads = len(grads)
-        self._layer_of = [g.layer_index for g in grads]
-        self._layer_tensor_counts = [0] * len(compute.model.layers)
-        for g in grads:
-            self._layer_tensor_counts[g.layer_index] += 1
-        self._total_tensor_count = sum(self._layer_tensor_counts)
-        self._sizes = [float(s) for s in gen_schedule.sizes]
-
-        self._iter = -1
-        self._comm_iter = -1
-        self._factor = 1.0
-        self._fwd_layer = 0
-        self._fwd_chunk_pending = False
-        self._fwd_start_times: list[float] = []
-        self._layer_pending = [0] * len(self._layer_tensor_counts)
-        self._pending_updates = 0
-        self._pulled = [0.0] * self._n_grads
-        self._pushed = [0.0] * self._n_grads
-        self._ready_time: list[float | None] = [None] * self._n_grads
-        self._iter_rec = None
-        self._compute_done = False
-        self._done = False
-        self._stall_timeout = stall_timeout
-        # Crash/suspension state is worker-wide (one compute pipeline);
-        # delivery state lives per port.  Ports read ``_faults`` through
-        # their delegation properties, so this must be set before they are
-        # constructed below.  With no injector the inherited
-        # ``_schedule_at``/``_schedule_after`` stay on the fast path.
-        self._faults = faults
-        self._suspended = False
-        self._deferred: list = []
-
-        n_shards = assignment.n_servers
-        if not (
-            len(shard_schedules) == len(schedulers) == len(channels)
-            == len(servers) == n_shards
-        ):
-            raise SimulationError(
-                f"worker {worker_id}: shard wiring mismatch "
-                f"({n_shards} shards)"
-            )
-        if downlinks is not None and len(downlinks) != n_shards:
-            raise SimulationError(
-                f"worker {worker_id}: {len(downlinks)} downlinks for "
-                f"{n_shards} shards"
-            )
-        self._shard_schedules = list(shard_schedules)
-        self._ports = [
-            _ShardPort(
-                self,
-                shard=s,
-                scheduler=schedulers[s],
-                channel=channels[s],
-                downlink=downlinks[s] if downlinks is not None else None,
-                ps=servers[s],
-            )
-            for s in range(n_shards)
-        ]
-        # Base-class aliases so shared helpers (and debuggers) see shard
-        # 0's agent where the single-PS worker has its only one.
-        self.scheduler = schedulers[0]
-        self.channel = channels[0]
-        self.downlink = None
-        self.ps = servers[0]
-
-    # ------------------------------------------------------------------
-    def port(self, shard: int) -> _ShardPort:
-        """The comm agent towards ``shard`` (what its PS attaches to)."""
-        return self._ports[shard]
-
-    # ------------------------------------------------------------------
-    # Scheduler fan-out hooks (see Worker)
-    # ------------------------------------------------------------------
-    def _sched_begin_iteration(self, iteration: int, sched, now: float) -> None:
-        # ``sched`` is the globally scaled schedule; each shard scheduler
-        # gets its restricted view scaled by the same jitter factor.
-        for port, template in zip(self._ports, self._shard_schedules):
-            port.scheduler.begin_iteration(
-                iteration, template.scaled(self._factor), now
-            )
-
-    def _sched_end_iteration(self, iteration: int, span: float, now: float) -> None:
-        for port in self._ports:
-            port.scheduler.end_iteration(iteration, span, now)
-
-    def _sched_gradient_ready(self, grad: int, now: float) -> None:
-        for piece in self.assignment.pieces_of(grad):
-            self._ports[piece.shard].scheduler.gradient_ready(piece.local, now)
-
-    def _pump_all(self) -> None:
-        for port in self._ports:
-            port._pump()
-
-    def _clear_pull_attempts(self) -> None:
-        for port in self._ports:
-            port._pull_attempts.clear()
-
-    # ------------------------------------------------------------------
-    # Port callbacks: translate local piece indices to global gradients
-    # ------------------------------------------------------------------
-    def _credit_push(
-        self, port: _ShardPort, unit: TransferUnit, iteration: int, now: float
-    ) -> None:
-        for seg in unit.segments:
-            grad = port.pieces[seg.grad].grad
-            self._pushed[grad] += seg.nbytes
-            if self._pushed[grad] >= self._sizes[grad] - _TOL:
-                self.recorder.mark_push_end(self.worker_id, iteration, grad, now)
-
-    def _credit_pulls(
-        self,
-        port: _ShardPort,
-        batch: list[PullUnit],
-        start: float,
-        now: float,
-        track: str,
-    ) -> None:
-        forward_was_blocked = (
-            self._fwd_layer < len(self.compute.fwd_times)
-            and not self._fwd_chunk_pending
-        )
-        for pull in batch:
-            if pull.iteration != self._comm_iter:
-                raise SimulationError(
-                    f"worker {self.worker_id} pulled iteration {pull.iteration} "
-                    f"while communicating iteration {self._comm_iter}"
-                )
-            seg = pull.segment
-            grad = port.pieces[seg.grad].grad
-            self._pulled[grad] += seg.nbytes
-            if self._pulled[grad] >= self._sizes[grad] - _TOL:
-                self.recorder.mark_pull_end(
-                    self.worker_id, pull.iteration, grad, now
-                )
-                layer = self._layer_of[grad]
-                self._layer_pending[layer] -= 1
-                self._pending_updates -= 1
-                if self._layer_pending[layer] < 0:
-                    raise SimulationError(
-                        f"worker {self.worker_id}: layer {layer} over-updated"
-                    )
-        trace = self.engine.trace
-        if trace.enabled:
-            trace.complete(
-                f"pull i{batch[0].iteration}",
-                "comm",
-                start,
-                now,
-                f"{track}/comm",
-                {
-                    "grads": [port.pieces[p.segment.grad].grad for p in batch],
-                    "shard": port.shard,
-                    "nbytes": sum(p.total_bytes for p in batch),
-                    "unblocked_forward": forward_was_blocked,
-                },
-            )
-        if forward_was_blocked and self._iter == self._comm_iter + 1:
-            self._advance_forward()
-        self._check_done()
-
-    # ------------------------------------------------------------------
-    # Single-channel entry points that must not be reached in sharded mode
-    # ------------------------------------------------------------------
-    def enqueue_pull(self, pull: PullUnit) -> None:  # pragma: no cover
-        raise SimulationError(
-            "ShardedWorker receives pulls through its shard ports, not "
-            "the worker itself — attach_workers got the wrong object"
-        )
-
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward protocol (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    def ff_state(self, ctx) -> tuple:
-        return self._ff_compute_state(ctx) + tuple(
-            port.ff_state(ctx) for port in self._ports
-        )
-
-    def ff_shift(self, shift) -> None:
-        self._ff_shift_compute(shift)
-        for port in self._ports:
-            port.ff_shift(shift)
-
-    # ------------------------------------------------------------------
-    # Fault handling: one crash suspends the shared compute pipeline and
-    # aborts every port's in-flight traffic (see Worker.crash).
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        self._suspended = True
-        for port in self._ports:
-            port.abort_for_crash()
-
-    def restart(self) -> None:
-        self._suspended = False
-        deferred, self._deferred = self._deferred, []
-        for fn, args in deferred:
-            fn(*args)
-        for port in self._ports:
-            if port.downlink is not None:
-                port._pump_downlink()
-            port._pump()
+    for s, ps in enumerate(servers):
+        ps.attach_workers([worker.ports[s] for worker in workers])
+    return assignment, servers, schedulers, monitors

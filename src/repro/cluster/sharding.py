@@ -96,6 +96,16 @@ class ShardAssignment:
             out.setdefault(piece.grad, []).append(piece)
         return {g: tuple(ps) for g, ps in out.items()}
 
+    @cached_property
+    def local_indices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``local_indices[shard][grad]``: the shard's local indices of the
+        gradient's pieces, slice order (empty where the shard holds none)."""
+        n_grads = self.pieces[-1].grad + 1
+        table = [[()] * n_grads for _ in range(self.n_servers)]
+        for piece in self.pieces:
+            table[piece.shard][piece.grad] += (piece.local,)
+        return tuple(tuple(row) for row in table)
+
     def pieces_of(self, grad: int) -> tuple[ShardPiece, ...]:
         """All pieces of one gradient, in slice order."""
         return self._by_grad[grad]

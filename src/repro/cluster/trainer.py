@@ -1,8 +1,10 @@
 """Trainer: wires config + scheduler factory into a running simulation.
 
 Build order mirrors the real deployment: model → compute profile → KV
-store (generation schedule) → network topology → parameter server →
-workers (each with its own scheduler instance and bandwidth monitor).  The
+store (generation schedule) → network topology → workers (compute
+pipelines) → the communication backend that gives each worker its ports
+(a PS tier of one or more servers, with a scheduler instance and bandwidth
+monitor per worker and server, or a negotiated collective).  The
 same :class:`~repro.agg.kvstore.GenerationSchedule` template is shared by
 all workers (identical model/device), individualized per iteration by each
 worker's jitter factor — so scheduler comparisons under the same seed are
@@ -19,13 +21,8 @@ from repro.cluster.collective import (
     CollectiveWorker,
     EffectiveBandwidthView,
 )
-from repro.cluster.ps import ParameterServer
 from repro.cluster.result import TrainingResult
-from repro.cluster.sharded import ShardedWorker
-from repro.cluster.sharding import (
-    assign_shards,
-    restrict_generation_schedule,
-)
+from repro.cluster.sharded import build_ps_tier
 from repro.cluster.worker import Worker
 from repro.config import SchedulerFactory, TrainingConfig, WorkerContext
 from repro.core.profiler import JobProfile
@@ -41,7 +38,7 @@ from repro.net.collective import (
     RingTopology,
 )
 from repro.net.monitor import BandwidthMonitor
-from repro.net.topology import ShardedTopology, StarTopology
+from repro.net.topology import StarTopology
 from repro.sim.engine import Engine
 from repro.sim.fastforward import FastForwardDetector, fastforward_eligibility
 from repro.sim.rng import spawn_rng
@@ -52,11 +49,6 @@ __all__ = ["Trainer", "run_training"]
 
 class Trainer:
     """One simulated training run.
-
-    ``force_sharded`` routes even an ``n_servers=1`` config through the
-    sharded build path (one shard).  It exists for equivalence testing —
-    the sharded machinery with a single shard must reproduce the
-    single-PS results — and is not part of the public configuration.
 
     ``engine`` attaches the trainer to an externally owned engine instead
     of creating its own — the fleet simulator places many jobs on one
@@ -71,7 +63,6 @@ class Trainer:
         self,
         config: TrainingConfig,
         scheduler_factory: SchedulerFactory,
-        force_sharded: bool = False,
         *,
         engine: Engine | None = None,
         name: str = "",
@@ -123,10 +114,17 @@ class Trainer:
         self._done_count = 0
         if config.backend == "allreduce":
             self._build_collective(scheduler_factory)
-        elif config.n_servers > 1 or force_sharded:
-            self._build_sharded(scheduler_factory)
         else:
-            self._build_single(scheduler_factory)
+            self._build_ps(scheduler_factory)
+        if self.injector is not None:
+            # A flapped worker's whole NIC degrades: every transmit link it
+            # owns (one per PS server; ring, or local + global for a
+            # hierarchical leader) flaps together.
+            self.injector.install(
+                self.workers,
+                {w: self.topology.worker_uplinks(w) for w in range(config.n_workers)},
+                servers=self.servers,
+            )
         if config.time_quantum is not None:
             # Strategy-side durations (Prophet's flush offsets) join the
             # engine's delay grid, keeping iteration cycles exactly
@@ -201,71 +199,17 @@ class Trainer:
                 rng=spawn_rng(self.config.seed, "faults"),
             )
 
-    def _build_single(self, scheduler_factory: SchedulerFactory) -> None:
-        """The paper's topology: one PS, one duplex channel per worker."""
+    def _make_workers(self, cls=Worker, **extra) -> None:
+        """The compute pipelines, one per worker; the backend attaches
+        their ports."""
         config = self.config
-        self.topology = StarTopology(
-            self.engine,
-            n_workers=config.n_workers,
-            bandwidth=config.bandwidth,
-            tcp=config.tcp,
-            worker_bandwidth=config.worker_bandwidth,
-            ps_bandwidth=config.ps_bandwidth,
-            seed=config.seed,
-            noise_std=config.bandwidth_noise_std,
-        )
-        self._make_injector()
-        self.ps = ParameterServer(
-            self.engine,
-            n_workers=config.n_workers,
-            sizes=self.gen_schedule.sizes,
-            update_fixed=config.ps_update_fixed,
-            update_per_byte=config.ps_update_per_byte,
-            sync_mode=config.sync_mode,
-            staleness=config.ssp_staleness,
-            faults=self.injector,
-        )
-        self.servers = [self.ps]
-
         compute_scale = dict(config.worker_compute_scale or {})
-        for w in range(config.n_workers):
-            channel = self.topology.uplink(w)
-            monitor = BandwidthMonitor(
-                self.engine, channel, interval=config.monitor_interval
-            )
-            self.monitors.append(monitor)
-            # Each worker's oracle profile reflects *its own* compute pace
-            # (the real profiler runs per worker) — a compute straggler's
-            # generation times are proportionally later.
-            scale = compute_scale.get(w, 1.0)
-            worker_profile = (
-                self.oracle_profile
-                if scale == 1.0
-                else JobProfile(
-                    c=self.oracle_profile.c * scale,
-                    sizes=self.oracle_profile.sizes,
-                    iterations=0,
-                )
-            )
-            ctx = WorkerContext(
-                worker_id=w,
-                monitor=monitor,
-                oracle_profile=worker_profile,
-                tcp=config.tcp,
-                rng=spawn_rng(config.seed, "sched", w),
-                engine=self.engine,
-            )
-            scheduler = scheduler_factory(ctx)
-            self.schedulers.append(scheduler)
-            worker = Worker(
+        self.workers = [
+            cls(
                 engine=self.engine,
                 worker_id=w,
                 compute=self.compute,
                 gen_schedule=self.gen_schedule,
-                scheduler=scheduler,
-                channel=channel,
-                downlink=self.topology.downlink(w) if config.duplex else None,
-                ps=self.ps,
                 recorder=self.recorder,
                 n_iterations=config.n_iterations,
                 jitter_rng=spawn_rng(config.seed, "jitter", w),
@@ -274,32 +218,20 @@ class Trainer:
                 on_done=self._worker_done,
                 stall_timeout=config.sched.stall_timeout,
                 faults=self.injector,
+                **extra,
             )
-            self.workers.append(worker)
-        self.ps.attach_workers(self.workers)
-        if self.injector is not None:
-            self.injector.install(
-                self.workers,
-                {w: self.topology.uplink(w) for w in range(config.n_workers)},
-                servers=self.servers,
-            )
+            for w in range(config.n_workers)
+        ]
 
-    # ------------------------------------------------------------------
-    def _build_sharded(self, scheduler_factory: SchedulerFactory) -> None:
-        """The BytePS-style tier: ``n_servers`` key-sharded PSs.
-
-        Per worker and shard: a dedicated duplex link pair, a bandwidth
-        monitor on the shard uplink, and an independent scheduler instance
-        over the shard's locally re-indexed generation schedule (its own
-        RNG stream, ``("sched", worker, shard)``).  Each shard PS holds
-        the shard's piece sizes and attaches the workers' shard ports.
-        """
+    def _build_ps(self, scheduler_factory: SchedulerFactory) -> None:
+        """The PS tier: ``n_servers`` key-sharded servers (one is the
+        paper's star), one duplex link pair and one port per worker and
+        server (see :func:`~repro.cluster.sharded.build_ps_tier`)."""
         config = self.config
-        n_shards = config.n_servers
-        self.topology = ShardedTopology(
+        self.topology = StarTopology(
             self.engine,
             n_workers=config.n_workers,
-            n_servers=n_shards,
+            n_servers=config.n_servers,
             bandwidth=config.bandwidth,
             tcp=config.tcp,
             worker_bandwidth=config.worker_bandwidth,
@@ -308,99 +240,17 @@ class Trainer:
             noise_std=config.bandwidth_noise_std,
         )
         self._make_injector()
-        self.assignment = assign_shards(
-            self.gen_schedule.sizes, n_shards, config.shard_slice_bytes
+        self._make_workers()
+        self.assignment, self.servers, self.schedulers, self.monitors = build_ps_tier(
+            self.engine,
+            config,
+            self.gen_schedule,
+            self.topology,
+            self.workers,
+            scheduler_factory,
+            faults=self.injector,
         )
-        shard_templates = [
-            restrict_generation_schedule(self.gen_schedule, self.assignment, s)
-            for s in range(n_shards)
-        ]
-        self.servers = [
-            ParameterServer(
-                self.engine,
-                n_workers=config.n_workers,
-                sizes=shard_templates[s].sizes,
-                update_fixed=config.ps_update_fixed,
-                update_per_byte=config.ps_update_per_byte,
-                sync_mode=config.sync_mode,
-                staleness=config.ssp_staleness,
-                faults=self.injector,
-                name=f"ps{s}",
-                server_index=s,
-            )
-            for s in range(n_shards)
-        ]
         self.ps = self.servers[0]
-        shard_profiles = [
-            JobProfile.from_generation_schedule(t) for t in shard_templates
-        ]
-
-        compute_scale = dict(config.worker_compute_scale or {})
-        for w in range(config.n_workers):
-            scale = compute_scale.get(w, 1.0)
-            schedulers: list = []
-            for s in range(n_shards):
-                monitor = BandwidthMonitor(
-                    self.engine,
-                    self.topology.uplink(w, s),
-                    interval=config.monitor_interval,
-                )
-                self.monitors.append(monitor)
-                profile = shard_profiles[s]
-                if scale != 1.0:
-                    profile = JobProfile(
-                        c=profile.c * scale, sizes=profile.sizes, iterations=0
-                    )
-                ctx = WorkerContext(
-                    worker_id=w,
-                    monitor=monitor,
-                    oracle_profile=profile,
-                    tcp=config.tcp,
-                    rng=spawn_rng(config.seed, "sched", w, s),
-                    engine=self.engine,
-                )
-                schedulers.append(scheduler_factory(ctx))
-            self.schedulers.extend(schedulers)
-            worker = ShardedWorker(
-                engine=self.engine,
-                worker_id=w,
-                compute=self.compute,
-                gen_schedule=self.gen_schedule,
-                assignment=self.assignment,
-                shard_schedules=shard_templates,
-                schedulers=schedulers,
-                channels=[self.topology.uplink(w, s) for s in range(n_shards)],
-                downlinks=(
-                    [self.topology.downlink(w, s) for s in range(n_shards)]
-                    if config.duplex
-                    else None
-                ),
-                servers=self.servers,
-                recorder=self.recorder,
-                n_iterations=config.n_iterations,
-                jitter_rng=spawn_rng(config.seed, "jitter", w),
-                jitter_std=config.jitter_std,
-                compute_scale=scale,
-                on_done=self._worker_done,
-                stall_timeout=config.sched.stall_timeout,
-                faults=self.injector,
-            )
-            self.workers.append(worker)
-        for s in range(n_shards):
-            self.servers[s].attach_workers(
-                [worker.port(s) for worker in self.workers]
-            )
-        if self.injector is not None:
-            # A flapped worker degrades on every shard uplink at once (its
-            # NIC, not one flow, is what the fault models).
-            self.injector.install(
-                self.workers,
-                {
-                    w: [self.topology.uplink(w, s) for s in range(n_shards)]
-                    for w in range(config.n_workers)
-                },
-                servers=self.servers,
-            )
 
     def _build_collective(self, scheduler_factory: SchedulerFactory) -> None:
         """The allreduce tier: a collective topology, one executor, and a
@@ -470,34 +320,8 @@ class Trainer:
             view=view,
         )
 
-        compute_scale = dict(config.worker_compute_scale or {})
-        for w in range(config.n_workers):
-            worker = CollectiveWorker(
-                engine=self.engine,
-                worker_id=w,
-                compute=self.compute,
-                gen_schedule=self.gen_schedule,
-                controller=self.controller,
-                recorder=self.recorder,
-                n_iterations=config.n_iterations,
-                jitter_rng=spawn_rng(config.seed, "jitter", w),
-                jitter_std=config.jitter_std,
-                compute_scale=compute_scale.get(w, 1.0),
-                on_done=self._worker_done,
-                faults=self.injector,
-            )
-            self.workers.append(worker)
+        self._make_workers(CollectiveWorker, controller=self.controller)
         self.controller.attach_workers(self.workers)
-        if self.injector is not None:
-            # A flapped worker's whole NIC degrades: every transmit link it
-            # owns (ring; local + global for a leader) flaps together.
-            self.injector.install(
-                self.workers,
-                {
-                    w: self.topology.worker_uplinks(w)
-                    for w in range(config.n_workers)
-                },
-            )
 
     def _worker_done(self, worker_id: int) -> None:
         self._done_count += 1
@@ -593,9 +417,7 @@ class Trainer:
 
 
 def run_training(
-    config: TrainingConfig,
-    scheduler_factory: SchedulerFactory,
-    force_sharded: bool = False,
+    config: TrainingConfig, scheduler_factory: SchedulerFactory
 ) -> TrainingResult:
     """Convenience one-shot: build a :class:`Trainer` and run it."""
-    return Trainer(config, scheduler_factory, force_sharded=force_sharded).run()
+    return Trainer(config, scheduler_factory).run()

@@ -97,7 +97,7 @@ class TrainingConfig:
     collective_group_size: int = 2
     #: Number of key-sharded parameter servers.  1 (default) runs the
     #: paper's single-PS star; >1 builds a BytePS-style sharded tier —
-    #: a :class:`~repro.net.topology.ShardedTopology` with per-shard
+    #: a :class:`~repro.net.topology.StarTopology` with per-shard
     #: links, one :class:`~repro.cluster.ps.ParameterServer` per shard,
     #: and per-shard scheduler instances (see DESIGN.md).  With a
     #: sharded tier, ``ps_bandwidth`` is each server's own NIC capacity.

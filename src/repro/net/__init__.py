@@ -6,7 +6,7 @@ available bandwidth ``B`` for large ones, and attributes the loss to TCP
 connection overhead and slow start.  :mod:`repro.net.tcp` implements exactly
 that mechanism analytically; :mod:`repro.net.link` serializes transfers on a
 link (the paper's Constraint (8)); :mod:`repro.net.topology` wires a star of
-workers around one parameter server; :mod:`repro.net.monitor` is the
+workers around a tier of one or more parameter servers; :mod:`repro.net.monitor` is the
 periodic bandwidth monitor that feeds Prophet.
 """
 

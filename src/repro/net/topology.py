@@ -16,14 +16,14 @@ the steady state competing TCP flows converge to.  A static
 ``ps_bandwidth / n_workers`` split would instead strand the slow worker's
 unused share (over-capping heterogeneous clusters).
 
-:class:`ShardedTopology` generalizes the star to a BytePS-style sharded PS
-tier: ``n_servers`` key-sharded parameter servers, each with its own
-``ps_bandwidth`` NIC, and per-``(worker, shard)`` duplex links so a worker
-pushes to (and pulls from) every shard concurrently.  Each shard's NIC is
-water-filled across the workers independently.  In this model the worker
-NIC caps each individual shard flow but not their sum — the sharded regime
-of interest is the one where the PS tier, not the worker NIC, is the
-bottleneck (see DESIGN.md).
+With ``n_servers > 1`` the :class:`StarTopology` becomes a BytePS-style
+sharded PS tier: ``n_servers`` key-sharded parameter servers, each with
+its own ``ps_bandwidth`` NIC, and per-``(worker, shard)`` duplex links so
+a worker pushes to (and pulls from) every shard concurrently.  Each
+shard's NIC is water-filled across the workers independently.  In this
+model the worker NIC caps each individual shard flow but not their sum —
+the sharded regime of interest is the one where the PS tier, not the
+worker NIC, is the bottleneck (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.sim.rng import spawn_rng
 
 __all__ = [
     "StarTopology",
-    "ShardedTopology",
     "ClusterFabric",
     "water_fill_level",
     "water_fill_shares",
@@ -256,7 +255,12 @@ def _effective_schedules(
 
 
 class StarTopology:
-    """Star of ``n_workers`` around one PS, with per-worker duplex links.
+    """Workers around a tier of ``n_servers`` parameter servers.
+
+    Every worker gets one uplink and one downlink **per server**, so
+    pushes to different shards proceed concurrently (no head-of-line
+    blocking between shards — the BytePS deployment model).  The paper's
+    star is ``n_servers=1``: one duplex link pair per worker.
 
     Parameters
     ----------
@@ -274,111 +278,35 @@ class StarTopology:
         (bytes/s) or schedule.  Used by the heterogeneous-cluster
         experiments (e.g. worker 0 capped to 500 Mbps).
     ps_bandwidth:
-        Optional PS NIC capacity in bytes/s; when set, it is divided among
-        the workers with water-filling (max-min fair) semantics — see the
-        module docstring.
+        Optional per-server NIC capacity in bytes/s; when set, it is
+        divided among the workers with water-filling (max-min fair)
+        semantics — see the module docstring.  Every server serves all
+        workers, so each server's NIC is water-filled the same way.
     seed / noise_std:
         Optional multiplicative bandwidth noise per transfer, independent
         per link.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        n_workers: int,
-        bandwidth: float | BandwidthSchedule,
-        tcp: TCPParams | None = None,
-        worker_bandwidth: Mapping[int, float | BandwidthSchedule] | None = None,
-        ps_bandwidth: float | None = None,
-        seed: int | None = 0,
-        noise_std: float = 0.0,
-    ):
-        if n_workers < 1:
-            raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-        if ps_bandwidth is not None and ps_bandwidth <= 0:
-            raise ConfigurationError(f"ps_bandwidth must be positive, got {ps_bandwidth}")
-        overrides = dict(worker_bandwidth or {})
-        for idx in overrides:
-            if not 0 <= idx < n_workers:
-                raise ConfigurationError(
-                    f"worker_bandwidth override for unknown worker {idx}"
-                )
-
-        self.engine = engine
-        self.n_workers = n_workers
-        self.tcp = tcp if tcp is not None else TCPParams()
-        self.uplinks: list[Link] = []
-        self.downlinks: list[Link] = []
-
-        schedules = _effective_schedules(n_workers, bandwidth, overrides, ps_bandwidth)
-        for w, sched in enumerate(schedules):
-            for direction, bucket in (("up", self.uplinks), ("down", self.downlinks)):
-                rng: np.random.Generator | None = None
-                if noise_std > 0:
-                    rng = spawn_rng(seed, "link", w, direction)
-                bucket.append(
-                    Link(
-                        engine,
-                        sched,
-                        self.tcp,
-                        name=f"worker{w}-{direction}",
-                        noise_rng=rng,
-                        noise_std=noise_std,
-                    )
-                )
-
-    # ------------------------------------------------------------------
-    def uplink(self, worker: int) -> Link:
-        """The push link of ``worker`` (worker → PS)."""
-        return self.uplinks[worker]
-
-    def downlink(self, worker: int) -> Link:
-        """The pull link of ``worker`` (PS → worker)."""
-        return self.downlinks[worker]
-
-    def worker_uplinks(self, worker: int) -> list[Link]:
-        """All push links of ``worker`` (one; topology-generic accessor)."""
-        return [self.uplinks[worker]]
-
-    def worker_downlinks(self, worker: int) -> list[Link]:
-        """All pull links of ``worker`` (one; topology-generic accessor)."""
-        return [self.downlinks[worker]]
-
-    def min_bandwidth(self) -> float:
-        """Lowest configured bandwidth across workers right now.
-
-        In BSP the slowest worker gates every parameter update; schedulers
-        that need a single cluster-level bandwidth estimate use this.
-        """
-        return min(link.current_bandwidth() for link in self.uplinks)
-
-
-class ShardedTopology:
-    """Key-sharded PS tier: ``n_servers`` servers, per-shard duplex links.
-
-    Every worker gets one uplink and one downlink **per shard**, so pushes
-    to different shards proceed concurrently (no head-of-line blocking
-    between shards — the BytePS deployment model).  Each server has its own
-    ``ps_bandwidth`` NIC, water-filled across the workers; each
-    ``(worker, shard)`` link is additionally capped by the worker's own
-    configured bandwidth.
+    n_servers:
+        Width of the PS tier (>= 1).  A one-server tier keeps the star's
+        link names ``worker{w}-up``/``-down`` and noise streams
+        ``("link", w, dir)``; wider tiers name links
+        ``worker{w}-s{s}-up``/``-down`` with streams ``("link", w, s, dir)``.
 
     The worker NIC caps each shard flow individually but not their sum —
-    an accepted simplification for the PS-bound regime this topology
-    targets (see DESIGN.md, "Sharded PS tier").
+    an accepted simplification for the PS-bound regime the sharded tier
+    targets (see DESIGN.md, section 3c).
     """
 
     def __init__(
         self,
         engine: Engine,
         n_workers: int,
-        n_servers: int,
         bandwidth: float | BandwidthSchedule,
         tcp: TCPParams | None = None,
         worker_bandwidth: Mapping[int, float | BandwidthSchedule] | None = None,
         ps_bandwidth: float | None = None,
         seed: int | None = 0,
         noise_std: float = 0.0,
+        n_servers: int = 1,
     ):
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
@@ -397,27 +325,30 @@ class ShardedTopology:
         self.n_workers = n_workers
         self.n_servers = n_servers
         self.tcp = tcp if tcp is not None else TCPParams()
-        # uplinks[worker][shard] / downlinks[worker][shard]
+        # uplinks[worker][server] / downlinks[worker][server]
         self.uplinks: list[list[Link]] = []
         self.downlinks: list[list[Link]] = []
 
-        # Every shard serves all workers, so the per-shard water-filling is
-        # identical across shards; compute it once.
+        # Every server serves all workers, so the per-server water-filling
+        # is identical across servers; compute it once.
         schedules = _effective_schedules(n_workers, bandwidth, overrides, ps_bandwidth)
-        for w in range(n_workers):
+        sharded = n_servers > 1
+        for w, sched in enumerate(schedules):
             ups: list[Link] = []
             downs: list[Link] = []
             for s in range(n_servers):
+                prefix = f"worker{w}-s{s}" if sharded else f"worker{w}"
+                stream = ("link", w, s) if sharded else ("link", w)
                 for direction, bucket in (("up", ups), ("down", downs)):
                     rng: np.random.Generator | None = None
                     if noise_std > 0:
-                        rng = spawn_rng(seed, "link", w, s, direction)
+                        rng = spawn_rng(seed, *stream, direction)
                     bucket.append(
                         Link(
                             engine,
-                            schedules[w],
+                            sched,
                             self.tcp,
-                            name=f"worker{w}-s{s}-{direction}",
+                            name=f"{prefix}-{direction}",
                             noise_rng=rng,
                             noise_std=noise_std,
                         )
@@ -426,24 +357,28 @@ class ShardedTopology:
             self.downlinks.append(downs)
 
     # ------------------------------------------------------------------
-    def uplink(self, worker: int, shard: int = 0) -> Link:
-        """The push link of ``worker`` towards ``shard``."""
-        return self.uplinks[worker][shard]
+    def uplink(self, worker: int, server: int = 0) -> Link:
+        """The push link of ``worker`` towards ``server``."""
+        return self.uplinks[worker][server]
 
-    def downlink(self, worker: int, shard: int = 0) -> Link:
-        """The pull link of ``shard`` towards ``worker``."""
-        return self.downlinks[worker][shard]
+    def downlink(self, worker: int, server: int = 0) -> Link:
+        """The pull link of ``server`` towards ``worker``."""
+        return self.downlinks[worker][server]
 
     def worker_uplinks(self, worker: int) -> list[Link]:
-        """All push links of ``worker``, shard order."""
+        """All push links of ``worker``, server order."""
         return list(self.uplinks[worker])
 
     def worker_downlinks(self, worker: int) -> list[Link]:
-        """All pull links of ``worker``, shard order."""
+        """All pull links of ``worker``, server order."""
         return list(self.downlinks[worker])
 
     def min_bandwidth(self) -> float:
-        """Lowest configured bandwidth across all worker/shard links."""
+        """Lowest configured bandwidth across all worker links right now.
+
+        In BSP the slowest worker gates every parameter update; schedulers
+        that need a single cluster-level bandwidth estimate use this.
+        """
         return min(
             link.current_bandwidth() for links in self.uplinks for link in links
         )

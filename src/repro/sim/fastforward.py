@@ -54,8 +54,7 @@ from functools import partial
 
 from repro.cluster.collective import CollectiveController
 from repro.cluster.ps import ParameterServer
-from repro.cluster.sharded import _ShardPort
-from repro.cluster.worker import Worker
+from repro.cluster.worker import PSPort, Worker
 from repro.metrics.timeline import GpuInterval, IterationRecord
 from repro.net.collective import _StepExecutor
 from repro.net.link import Link, TransferRecord, _drain_batch
@@ -210,18 +209,14 @@ def _shift_unit_done(shift: FFShift, args) -> tuple:
 
 
 _CB_CANON = {
-    Worker._pulls_done: _canon_pulls_done,
-    _ShardPort._pulls_done: _canon_pulls_done,
-    Worker._push_done: _canon_unit_done,
-    _ShardPort._push_done: _canon_unit_done,
+    PSPort._pulls_done: _canon_pulls_done,
+    PSPort._push_done: _canon_unit_done,
     CollectiveController._op_done: _canon_unit_done,
 }
 
 _CB_SHIFT = {
-    Worker._pulls_done: _shift_pulls_done,
-    _ShardPort._pulls_done: _shift_pulls_done,
-    Worker._push_done: _shift_unit_done,
-    _ShardPort._push_done: _shift_unit_done,
+    PSPort._pulls_done: _shift_pulls_done,
+    PSPort._push_done: _shift_unit_done,
     CollectiveController._op_done: _shift_unit_done,
 }
 
@@ -281,8 +276,7 @@ _EVENT_CANON = {
     Worker._forward_chunk_done: _canon_fwd_chunk,
     Worker._bucket_ready: _canon_bucket_ready,
     Worker._backward_done: _canon_backward_done,
-    Worker._stall_check: _canon_noargs,
-    _ShardPort._stall_check: _canon_noargs,
+    PSPort._stall_check: _canon_noargs,
     CollectiveController._stall_check: _canon_noargs,
     ParameterServer._deliver: _canon_deliver,
 }
@@ -395,7 +389,7 @@ class FastForwardDetector:
         self._keepalive: list = []
         for w in self._workers:
             self._register(w, ("w", w.worker_id))
-            for s, port in enumerate(getattr(w, "_ports", ()) or ()):
+            for s, port in enumerate(w.ports):
                 self._register(port, ("port", w.worker_id, s))
         for i, link in enumerate(self._links):
             self._register(link, ("link", i))

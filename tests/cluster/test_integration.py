@@ -7,6 +7,8 @@ respected, and per-gradient records consistent (ready ≤ push start ≤
 push end ≤ pull end).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,29 +33,47 @@ def test_training_completes_for_every_strategy(tiny_config, name, factory):
     assert result.training_rate(skip=1) > 0
 
 
-@pytest.mark.parametrize("name,factory", ALL_FACTORIES)
-def test_all_bytes_pushed_once(tiny_config, name, factory):
-    trainer = Trainer(tiny_config, factory)
+def _tier_cases():
+    """Every strategy on the star (the plain ``name-factory`` id), and on
+    the 3-server tier with P3-style slicing, each with and without the
+    duplex downlink."""
+    tiers = {"": {}, "-s3-sliced": {"n_servers": 3, "shard_slice_bytes": 1e6}}
+    duplex = {"": {}, "-duplex": {"duplex": True}}
+    return [
+        pytest.param(name, factory, {**tier, **dx}, id=f"{name}-factory{tid}{did}")
+        for name, factory in ALL_FACTORIES
+        for tid, tier in tiers.items()
+        for did, dx in duplex.items()
+    ]
+
+
+@pytest.mark.parametrize("name,factory,overrides", _tier_cases())
+def test_all_bytes_pushed_once(tiny_config, name, factory, overrides):
+    config = replace(tiny_config, **overrides)
+    trainer = Trainer(config, factory)
     result = trainer.run()
     expected = (
         result.gen_schedule.sizes.sum()
-        * tiny_config.n_iterations
-        * tiny_config.n_workers
+        * config.n_iterations
+        * config.n_workers
     )
-    assert trainer.ps.total_push_bytes == pytest.approx(expected, rel=1e-9)
+    pushed = sum(ps.total_push_bytes for ps in trainer.servers)
+    assert pushed == pytest.approx(expected, rel=1e-9)
 
 
-@pytest.mark.parametrize("name,factory", ALL_FACTORIES)
-def test_gradient_record_event_ordering(tiny_config, name, factory):
-    result = run_training(tiny_config, factory)
-    recs = result.gradient_records(worker=0)
-    assert recs, "no gradient records"
-    for r in recs:
-        assert np.isfinite(r.ready)
-        assert np.isfinite(r.push_start)
-        assert r.ready <= r.push_start + 1e-9
-        assert r.push_start <= r.push_end + 1e-9
-        assert r.push_end <= r.pull_end + 1e-9
+@pytest.mark.parametrize("name,factory,overrides", _tier_cases())
+def test_gradient_record_event_ordering(tiny_config, name, factory, overrides):
+    config = replace(tiny_config, **overrides)
+    result = run_training(config, factory)
+    for worker in range(config.n_workers):
+        recs = result.gradient_records(worker=worker)
+        assert len(recs) == len(result.gen_schedule.sizes) * config.n_iterations
+        for r in recs:
+            assert np.isfinite(r.ready)
+            assert np.isfinite(r.push_start)
+            assert r.ready <= r.push_start + 1e-9
+            assert r.push_start <= r.push_end + 1e-9
+            assert r.push_end <= r.pull_end + 1e-9
 
 
 @pytest.mark.parametrize("name,factory", ALL_FACTORIES)

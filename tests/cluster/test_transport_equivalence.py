@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.cluster import sharded, worker
+from repro.cluster import worker
 from repro.cluster.trainer import run_training
 from repro.faults.plan import FaultPlan
 from repro.net.transport import LinkTransport
@@ -64,11 +64,11 @@ class CountingTransport(LinkTransport):
 
 @pytest.fixture
 def counting_transport(monkeypatch):
-    """Route every PS worker/shard-port push through the wrapper."""
+    """Route every PS port's push (star and sharded tier alike) through
+    the wrapper."""
     CountingTransport.sent_units = 0
     CountingTransport.sent_bytes = 0.0
     monkeypatch.setattr(worker, "LinkTransport", CountingTransport)
-    monkeypatch.setattr(sharded, "LinkTransport", CountingTransport)
     return CountingTransport
 
 
@@ -139,14 +139,13 @@ def test_transport_transparency_property(tiny_config, seed, jitter, strategy):
     factory = EXTENDED_FACTORIES[strategy]
     reference = run_training(config, factory)
 
-    originals = (worker.LinkTransport, sharded.LinkTransport)
+    original = worker.LinkTransport
     CountingTransport.sent_units = 0
     worker.LinkTransport = CountingTransport
-    sharded.LinkTransport = CountingTransport
     try:
         wrapped = run_training(config, factory)
     finally:
-        worker.LinkTransport, sharded.LinkTransport = originals
+        worker.LinkTransport = original
 
     assert CountingTransport.sent_units > 0
     assert _timeline(wrapped, config.n_workers) == _timeline(

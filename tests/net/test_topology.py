@@ -1,4 +1,4 @@
-"""Unit tests for the star topology."""
+"""Unit tests for the star topology (one PS or a key-sharded tier)."""
 
 import pytest
 
@@ -174,14 +174,12 @@ def test_per_worker_schedule_override_with_ps_cap(engine):
 
 
 # ----------------------------------------------------------------------
-# ShardedTopology
+# Sharded tier: the same topology with n_servers > 1
 # ----------------------------------------------------------------------
 
 class TestShardedTopology:
     def test_builds_per_shard_duplex_links(self, engine):
-        from repro.net.topology import ShardedTopology
-
-        topo = ShardedTopology(engine, n_workers=2, n_servers=3, bandwidth=1 * Gbps)
+        topo = StarTopology(engine, n_workers=2, n_servers=3, bandwidth=1 * Gbps)
         assert len(topo.uplinks) == 2
         assert all(len(links) == 3 for links in topo.uplinks)
         assert topo.uplink(1, 2).name == "worker1-s2-up"
@@ -190,9 +188,7 @@ class TestShardedTopology:
         assert topo.worker_downlinks(1) == topo.downlinks[1]
 
     def test_ps_bandwidth_is_per_server(self, engine):
-        from repro.net.topology import ShardedTopology
-
-        topo = ShardedTopology(
+        topo = StarTopology(
             engine, n_workers=4, n_servers=2,
             bandwidth=10 * Gbps, ps_bandwidth=4 * Gbps,
         )
@@ -203,9 +199,7 @@ class TestShardedTopology:
                 assert topo.uplink(w, s).current_bandwidth() == pytest.approx(1 * Gbps)
 
     def test_worker_nic_caps_each_shard_flow(self, engine):
-        from repro.net.topology import ShardedTopology
-
-        topo = ShardedTopology(
+        topo = StarTopology(
             engine, n_workers=2, n_servers=2,
             bandwidth=10 * Gbps, worker_bandwidth={0: 500 * Mbps},
             ps_bandwidth=40 * Gbps,
@@ -214,14 +208,12 @@ class TestShardedTopology:
         assert topo.min_bandwidth() == pytest.approx(500 * Mbps)
 
     def test_invalid_counts_raise(self, engine):
-        from repro.net.topology import ShardedTopology
-
         with pytest.raises(ConfigurationError):
-            ShardedTopology(engine, n_workers=0, n_servers=2, bandwidth=1 * Gbps)
+            StarTopology(engine, n_workers=0, n_servers=2, bandwidth=1 * Gbps)
         with pytest.raises(ConfigurationError):
-            ShardedTopology(engine, n_workers=2, n_servers=0, bandwidth=1 * Gbps)
+            StarTopology(engine, n_workers=2, n_servers=0, bandwidth=1 * Gbps)
         with pytest.raises(ConfigurationError):
-            ShardedTopology(
+            StarTopology(
                 engine, n_workers=1, n_servers=1, bandwidth=1 * Gbps,
                 ps_bandwidth=-1.0,
             )
